@@ -1,6 +1,10 @@
 """Image-to-text bridge: projector, tokenizer, prompt assembly, and a
 small causal transformer decoder with greedy generation.
 
+Greedy decoding runs under ``T.no_grad()`` with a per-layer key/value
+cache: the prompt goes through the decoder once, then each new token
+costs one decoder row instead of a pass over the whole prefix.
+
 The fixed prompt carries one placeholder token per temporal image; at
 assembly time each placeholder is replaced by the N projected feature
 rows, and caption tokens (when training) are appended after the prompt
@@ -182,31 +186,28 @@ def assemble_sequence(store, f1h, f2h, layout: PromptLayout, vocab, cfg: Decoder
     return T.concat(parts, axis=0), positions, targets
 
 
-def _causal_mask(t):
-    return np.triu(np.full((t, t), -1e30), k=1)
+def decoder_forward(store, seq, vocab_size, layout, cfg: DecoderConfig, cache=None, start=0):
+    """Causal pre-norm transformer over the embedded sequence -> logits.
 
-
-def decoder_forward(store, seq, vocab_size, layout, cfg: DecoderConfig):
-    """Causal pre-norm transformer over the embedded sequence -> logits."""
+    ``seq`` holds the rows at positions start..start+T-1. Rows before
+    ``start`` are seen only through ``cache``, the per-layer keys and
+    values that earlier calls with the same cache appended (see
+    ``nn.attention``).
+    """
     t, c = seq.shape
     cap = layout.expanded_len + 1 + cfg.max_len
     pos = store.param("decoder.pos", (cap, c), init="embed")
-    x = seq + _slice_rows(pos, t)
-    mask = _causal_mask(t)
+    x = seq + T.embed(pos, np.arange(start, start + t))
+    mask = np.triu(np.full((t, start + t), -1e30), k=start + 1)
     for i in range(cfg.depth):
-        x = _decoder_block(store, f"decoder.block{i}", x, c, cfg.heads, mask)
+        x = _decoder_block(store, f"decoder.block{i}", x, c, cfg.heads, mask, cache)
     x = nn.layer_norm(store, "decoder.ln_f", x, c)
     return nn.linear(store, "decoder.head", x, c, vocab_size)
 
 
-def _slice_rows(t2d, n):
-    idx = np.arange(n, dtype=np.int64)
-    return T.embed(t2d, idx)
-
-
-def _decoder_block(store, name, x, c, heads, mask):
+def _decoder_block(store, name, x, c, heads, mask, cache):
     h = nn.layer_norm(store, f"{name}.ln1", x, c)
-    a, _ = nn.attention(store, f"{name}.attn", h, h, c, heads, mask=mask)
+    a, _ = nn.attention(store, f"{name}.attn", h, h, c, heads, mask=mask, cache=cache)
     x = x + a
     x = x + nn.mlp(store, f"{name}.mlp", nn.layer_norm(store, f"{name}.ln2", x, c),
                    c, 4 * c, c)
@@ -225,22 +226,29 @@ def decode_loss(logits, positions, targets):
 def generate(store, f1h, f2h, layout, vocab, cfg: DecoderConfig):
     """Deterministic greedy decoding from <bos> until <eos> or max_len.
 
-    Returns (text, token_ids, truncated).
+    The prompt and <bos> go through the decoder once and fill a per-layer
+    key/value cache; each later step feeds only the newest token's row.
+    No graph is built. Returns (text, token_ids, truncated).
     """
     out_ids = []
     truncated = False
     v = len(vocab)
     c = cfg.c_model
-    prompt, _, _ = assemble_sequence(store, f1h, f2h, layout, vocab, cfg)
-    while True:
-        tail = _embed_ids(store, [BOS] + out_ids, v, c)
-        seq = T.concat([prompt, tail], axis=0)
-        logits = decoder_forward(store, seq, v, layout, cfg)
-        nxt = int(np.argmax(logits.data[-1]))
-        if nxt == EOS:
-            break
-        out_ids.append(nxt)
-        if len(out_ids) >= cfg.max_len:
-            truncated = True
-            break
+    cache = {}
+    start = 0
+    with T.no_grad():
+        prompt, _, _ = assemble_sequence(store, f1h, f2h, layout, vocab, cfg)
+        seq = T.concat([prompt, _embed_ids(store, [BOS], v, c)], axis=0)
+        while True:
+            # positional: outside wrappers of decoder_forward pass *args only
+            logits = decoder_forward(store, seq, v, layout, cfg, cache, start)
+            nxt = int(np.argmax(logits.data[-1]))
+            if nxt == EOS:
+                break
+            out_ids.append(nxt)
+            if len(out_ids) >= cfg.max_len:
+                truncated = True
+                break
+            start += seq.shape[0]
+            seq = _embed_ids(store, [nxt], v, c)
     return vocab.decode(out_ids), out_ids, truncated

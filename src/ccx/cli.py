@@ -112,8 +112,7 @@ def cmd_train(args):
 def _load_model_from_checkpoint(config_path, checkpoint):
     cfg = cfgmod.load_config(config_path)
     model = trainer.build_model(cfg)
-    opt = trainer.AdamW(list(model.store.params.values()))
-    trainer.load_checkpoint(model, opt, checkpoint)
+    trainer.load_params(model, checkpoint)
     return model
 
 
@@ -121,7 +120,7 @@ def cmd_caption(args):
     try:
         model = _load_model_from_checkpoint(args.config, args.checkpoint)
         records = data.load_manifest(args.manifest)
-    except (OSError, cfgmod.ConfigError, data.ManifestError) as exc:
+    except (OSError, ValueError) as exc:  # config, manifest and checkpoint shape errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     by_id = {r.id: r for r in records}
@@ -169,11 +168,7 @@ def cmd_eval_metrics(args):
 
 def cmd_gradcheck(args):
     errors = verify.check_module(args.module, seed=args.seed)
-    by_group = {}
-    for name, err in sorted(errors.items()):
-        group = name.split(".", 1)[0]
-        by_group[group] = max(by_group.get(group, 0.0), err)
-    for group, err in sorted(by_group.items()):
+    for group, err in sorted(verify.group_summary(errors).items()):
         print(f"{group}: max rel err {err:.3e}")
     bad = [(n, e) for n, e in errors.items() if e >= args.tolerance]
     if bad:

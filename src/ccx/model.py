@@ -59,9 +59,11 @@ class CaptionModel:
         return total * (1.0 / len(losses))
 
     def generate(self, img1, img2):
-        f1h, f2h = self.project_features(img1, img2)
-        return bridge.generate(self.store, f1h, f2h, self.layout,
-                               self.vocab, self.dec_cfg)
+        """Greedy caption (text, ids, truncated); builds no autograd graph."""
+        with T.no_grad():
+            f1h, f2h = self.project_features(img1, img2)
+            return bridge.generate(self.store, f1h, f2h, self.layout,
+                                   self.vocab, self.dec_cfg)
 
     def caption_ids(self, caption_text):
         return self.vocab.encode(caption_text) + [bridge.EOS]

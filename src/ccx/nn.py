@@ -99,12 +99,15 @@ def _split_heads(x, heads):
     return T.transpose(T.reshape(x, (t, heads, dh)), (1, 0, 2))
 
 
-def attention(store, name, q_in, kv_in, d, heads, mask=None):
+def attention(store, name, q_in, kv_in, d, heads, mask=None, cache=None):
     """Multi-head attention over token sequences [Tq,d] x [Tk,d] -> [Tq,d].
 
     ``mask`` is an additive float array broadcastable to [Tq,Tk]
-    (0 = attend, large negative = blocked). Returns (output, probs)
-    where probs has shape [heads, Tq, Tk].
+    (0 = attend, large negative = blocked). With a ``cache`` dict, this
+    call's head-split keys and values are appended to ``cache[name]`` and
+    the queries attend over everything cached so far, so Tk counts the
+    earlier calls' rows too. Returns (output, probs) where probs has
+    shape [heads, Tq, Tk].
     """
     if d % heads:
         raise T.ShapeError(f"attention: width {d} not divisible by {heads} heads")
@@ -112,6 +115,12 @@ def attention(store, name, q_in, kv_in, d, heads, mask=None):
     q = _split_heads(linear(store, f"{name}.q", q_in, d, d), heads)
     k = _split_heads(linear(store, f"{name}.k", kv_in, d, d), heads)
     v = _split_heads(linear(store, f"{name}.v", kv_in, d, d), heads)
+    if cache is not None:
+        if name in cache:
+            k0, v0 = cache[name]
+            k = T.concat([k0, k], axis=1)
+            v = T.concat([v0, v], axis=1)
+        cache[name] = (k, v)
     scores = T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
     if mask is not None:
         scores = scores + T.Tensor(mask)

@@ -3,17 +3,22 @@
 Every op builds a node in a tape-free graph: each output tensor keeps a
 closure that scatters its upstream gradient into its parents. Calling
 ``backward()`` on a scalar walks the graph in reverse topological order.
-All data is float64; shapes are plain numpy shapes.
+Inside ``no_grad()`` ops build no graph. All data is float64; shapes are
+plain numpy shapes.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
 # When True, every freshly created tensor is checked for NaN/Inf.
 DEBUG_FINITE = False
+
+# False inside ``no_grad()``
+_GRAD_ENABLED = True
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
@@ -28,6 +33,8 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
+        if _parents and not _GRAD_ENABLED:
+            requires_grad, _parents, _backward = False, (), None
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = _parents
@@ -109,6 +116,21 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+@contextmanager
+def no_grad():
+    """Build no graph inside the block: the results of ops keep no parents
+    and no backward closure, and do not require grad. Leaves created
+    directly (parameters) keep the ``requires_grad`` they ask for.
+    """
+    global _GRAD_ENABLED
+    prev = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = prev
 
 
 def as_tensor(x):

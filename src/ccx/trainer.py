@@ -24,7 +24,7 @@ from .tensor_io import read_cct1, write_cct1
 
 
 class NumericAbort(RuntimeError):
-    """Training hit a non-finite loss."""
+    """Training hit a non-finite loss or gradient norm."""
 
 
 @dataclass
@@ -96,7 +96,11 @@ def train_stage(model: CaptionModel, stage_cfg: StageConfig, records, data_dir,
                     f"non-finite loss at stage {stage_cfg.stage} epoch {epoch} "
                     f"batch starting with {batch[0][0].id}")
             loss.backward()
-            nn.clip_grads(params, stage_cfg.grad_clip)
+            norm = nn.clip_grads(params, stage_cfg.grad_clip)
+            if not np.isfinite(norm):  # clipping skips a NaN norm; AdamW would spread it
+                raise NumericAbort(
+                    f"non-finite gradient norm at stage {stage_cfg.stage} epoch {epoch} "
+                    f"batch starting with {batch[0][0].id}")
             optimizer.step(lr_map)
             losses.append(val)
             report.steps += 1
@@ -125,14 +129,21 @@ def save_checkpoint(model: CaptionModel, optimizer: AdamW, path, meta=None):
     model.vocab.save(path / "vocab.txt")
 
 
-def load_checkpoint(model: CaptionModel, optimizer: AdamW, path):
+def load_params(model: CaptionModel, path):
+    """Read only a checkpoint's parameters into ``model`` (for inference)."""
     path = Path(path)
-    state = json.loads((path / "state").read_text())
     for p in model.store.params.values():
         arr = read_cct1(path / "params" / f"{p.name}.cct1")
         if arr.shape != p.tensor.shape:
             raise ValueError(f"checkpoint shape mismatch for {p.name}")
         p.tensor.data = arr
+
+
+def load_checkpoint(model: CaptionModel, optimizer: AdamW, path):
+    path = Path(path)
+    state = json.loads((path / "state").read_text())
+    load_params(model, path)
+    for p in model.store.params.values():
         optimizer.m[p.name] = read_cct1(path / "optim" / f"{p.name}.m.cct1")
         optimizer.v[p.name] = read_cct1(path / "optim" / f"{p.name}.v.cct1")
     optimizer.t = int(state["t"])

@@ -101,7 +101,7 @@ def check_module(module, seed=0, max_entries=4):
                              max_entries=max_entries, seed=seed)
 
 
-def group_summary(errors, store):
+def group_summary(errors):
     """Aggregate per-parameter errors to per-group maxima."""
     out = {}
     for name, err in errors.items():

@@ -241,3 +241,73 @@ class TestGenerate:
         layout = PromptLayout.build(vocab, N)
         _, ids, _ = bridge.generate(store, f1, f2, layout, vocab, cfg)
         assert len(ids) <= 1
+
+
+def _uncached_generate(store, f1h, f2h, layout, vocab, cfg):
+    """Greedy decoding by a full decoder pass over the whole prefix per token.
+
+    Returns (ids, truncated, last-row logits of every step).
+    """
+    out_ids, steps = [], []
+    v, c = len(vocab), cfg.c_model
+    prompt, _, _ = bridge.assemble_sequence(store, f1h, f2h, layout, vocab, cfg)
+    while True:
+        tail = bridge._embed_ids(store, [BOS] + out_ids, v, c)
+        seq = T.concat([prompt, tail], axis=0)
+        steps.append(bridge.decoder_forward(store, seq, v, layout, cfg).data[-1])
+        nxt = int(np.argmax(steps[-1]))
+        if nxt == EOS:
+            return out_ids, False, steps
+        out_ids.append(nxt)
+        if len(out_ids) >= cfg.max_len:
+            return out_ids, True, steps
+
+
+class TestCachedGenerate:
+    # (feature seed, max_len, truncated): ends on <eos>, hits max_len, max_len=1
+    @pytest.mark.parametrize("seed,max_len,truncated",
+                             [(20, 10, False), (15, 10, True), (20, 1, True)])
+    def test_matches_uncached_oracle(self, vocab, monkeypatch, seed, max_len, truncated):
+        cfg = DecoderConfig(c_model=C, depth=2, heads=2, max_len=max_len)
+        store = ParamStore(Rng(5))
+        f1, f2 = _features(seed)
+        layout = PromptLayout.build(vocab, N)
+        want_ids, want_trunc, want_steps = _uncached_generate(
+            store, f1, f2, layout, vocab, cfg)
+        assert want_trunc == truncated
+
+        rows, steps = [], []
+        real = bridge.decoder_forward
+
+        def recording(store, seq, *args):
+            logits = real(store, seq, *args)
+            rows.append(seq.shape[0])
+            steps.append(logits.data[-1])
+            return logits
+
+        monkeypatch.setattr(bridge, "decoder_forward", recording)
+        text, ids, trunc = bridge.generate(store, f1, f2, layout, vocab, cfg)
+        assert (ids, trunc) == (want_ids, want_trunc)
+        assert text == vocab.decode(want_ids)
+        # the prompt and <bos> once, then one row per new token
+        assert rows == [layout.expanded_len + 1] + [1] * (len(want_steps) - 1)
+        for got, want in zip(steps, want_steps, strict=True):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_cached_rows_match_full_pass(self, store, vocab, dec_cfg):
+        """Feeding a sequence in two chunks through one cache gives the
+        logits of a single full pass over it."""
+        f1, f2 = _features(17)
+        layout = PromptLayout.build(vocab, N)
+        caption = vocab.encode("a road is built at the center") + [EOS]
+        seq, _, _ = bridge.assemble_sequence(
+            store, f1, f2, layout, vocab, dec_cfg, caption)
+        full = bridge.decoder_forward(store, seq, len(vocab), layout, dec_cfg).data
+        cut = layout.expanded_len + 2
+        cache = {}
+        head = bridge.decoder_forward(store, T.Tensor(seq.data[:cut]), len(vocab),
+                                      layout, dec_cfg, cache, 0).data
+        tail = bridge.decoder_forward(store, T.Tensor(seq.data[cut:]), len(vocab),
+                                      layout, dec_cfg, cache, cut).data
+        np.testing.assert_allclose(head, full[:cut], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tail, full[cut:], rtol=0, atol=1e-12)

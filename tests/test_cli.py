@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from ccx import trainer
 from ccx.cli import EXIT_IO, EXIT_USAGE, main
 
 DATA = Path(__file__).parent / "data"
@@ -122,6 +123,29 @@ class TestCaption:
                      "--manifest", str(trained["manifest"]),
                      "--pair", "nope"]) == EXIT_USAGE
         capsys.readouterr()
+
+    def test_reads_parameters_only(self, trained, capsys, monkeypatch):
+        reads = []
+        real = trainer.read_cct1
+        monkeypatch.setattr(trainer, "read_cct1",
+                            lambda path: reads.append(path) or real(path))
+        assert main(["caption", "--checkpoint", str(trained["checkpoint"]),
+                     "--config", str(trained["config"]),
+                     "--manifest", str(trained["manifest"]),
+                     "--pair", "pair0000"]) == 0
+        capsys.readouterr()
+        assert sorted(reads) == sorted((trained["checkpoint"] / "params").iterdir())
+
+    @pytest.mark.parametrize("command", [["caption", "--pair", "pair0000"], ["eval-metrics"]])
+    def test_shape_mismatch_io_error(self, trained, tmp_path, capsys, command):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(trained["config"].read_text() + "decoder.c_model = 16\n")
+        assert main([command[0], "--checkpoint", str(trained["checkpoint"]),
+                     "--config", str(cfg), "--manifest", str(trained["manifest"]),
+                     *command[1:]]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "shape" in captured.err
+        assert captured.err.count("\n") == 1
 
 
 class TestEvalMetrics:

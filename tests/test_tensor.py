@@ -228,3 +228,54 @@ def test_debug_finite_mode():
             T.Tensor([np.nan])
     finally:
         T.DEBUG_FINITE = False
+
+
+class TestNoGrad:
+    def test_ops_record_no_graph(self):
+        r = Rng(41)
+        a = T.Tensor(r.normal((3, 4)), requires_grad=True)
+        b = T.Tensor(r.normal((4, 2)), requires_grad=True)
+        with T.no_grad():
+            outs = [T.matmul(a, b), a + 1.0, T.gelu(a), T.softmax(a),
+                    T.concat([a, a], axis=0), T.embed(a, [0, 2])]
+            leaf = T.Tensor(np.zeros(2), requires_grad=True)
+        for y in outs:
+            assert y._parents == () and y._backward is None
+            assert not y.requires_grad
+        assert leaf.requires_grad  # explicitly created leaves keep their flag
+        y = T.matmul(a, b)
+        assert y.requires_grad and y._parents == (a, b)
+
+    def test_grad_mode_restored_after_exception(self):
+        a = T.Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                raise RuntimeError("boom")
+        y = T.tsum(a * 2.0)
+        assert y.requires_grad
+        y.backward()
+        np.testing.assert_array_equal(a.grad, np.full(3, 2.0))
+
+    def test_training_loss_after_generate_backpropagates(self):
+        from ccx.model import CaptionModel, build_vocabulary
+        from ccx.verify import small_configs
+
+        model = CaptionModel(*small_configs(), build_vocabulary(), seed=2)
+        r = Rng(43)
+        i1, i2 = r.uniform((16, 16, 3)), r.uniform((16, 16, 3))
+        caption = model.caption_ids("a road is built")
+
+        def grads():
+            model.store.zero_grad()
+            model.forward_loss(i1, i2, caption).backward()
+            return {n: p.tensor.grad for n, p in model.store.params.items()
+                    if p.tensor.grad is not None}
+
+        before = grads()
+        model.generate(i1, i2)
+        after = grads()
+        assert after.keys() == before.keys()
+        assert {n.split(".", 1)[0] for n in after} == {"encoder", "enhancer",
+                                                        "projector", "decoder"}
+        for name in before:
+            np.testing.assert_array_equal(after[name], before[name])

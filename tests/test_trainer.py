@@ -169,6 +169,22 @@ class TestDescent:
         with pytest.raises(trainer.NumericAbort):
             trainer.train_stage(model, scfg, records, d, max_steps=1)
 
+    def test_nan_gradient_aborts_before_update(self, dataset, monkeypatch):
+        d, records = dataset
+        model = _model(seed=3)
+        real_clip = nn.clip_grads
+
+        def poisoned(params, max_norm):
+            next(p for p in params if p.tensor.grad is not None).tensor.grad.flat[0] = np.nan
+            return real_clip(params, max_norm)
+
+        monkeypatch.setattr(nn, "clip_grads", poisoned)
+        before = model.store.checksum()
+        scfg = trainer.StageConfig(stage=2, base_lr=BASE_LR, epochs=1)
+        with pytest.raises(trainer.NumericAbort, match="gradient"):
+            trainer.train_stage(model, scfg, records, d, max_steps=1)
+        assert model.store.checksum() == before
+
 
 class TestCheckpoint:
     def test_round_trip_restores_params_and_moments(self, tmp_path, dataset):
