@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import config as cfgmod
 from . import data, metrics, trainer, verify
+from .tensor_io import FormatError
 from .trainer import NumericAbort
 
 EXIT_USAGE = 2
@@ -99,7 +100,7 @@ def cmd_train(args):
     try:
         ckpt, _ = trainer.run_pipeline(cfg, stages=stages, resume_from=args.resume,
                                        log=print)
-    except NumericAbort as exc:
+    except (NumericAbort, FormatError) as exc:  # FormatError: non-finite values to save
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -70,10 +70,12 @@ def _coerce(key, raw):
         if str(raw).lower() in ("0", "false", "no"):
             return False
         raise ConfigError(f"{key}: expected boolean, got {raw!r}")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
+    kind = type(default)
+    if kind in (int, float):
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ConfigError(f"{key}: expected {kind.__name__}, got {raw!r}") from None
     return str(raw)
 
 
@@ -89,7 +91,10 @@ def load_config(path):
         key, raw = (s.strip() for s in line.split("=", 1))
         if key not in DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        cfg[key] = _coerce(key, raw)
+        try:
+            cfg[key] = _coerce(key, raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return cfg
 
 

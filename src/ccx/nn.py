@@ -156,5 +156,5 @@ def clip_grads(params, max_norm):
         scale = max_norm / norm
         for p in params:
             if p.tensor.grad is not None:
-                p.tensor.grad *= scale
+                p.tensor.grad = p.tensor.grad * scale
     return norm

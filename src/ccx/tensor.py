@@ -2,9 +2,16 @@
 
 Every op builds a node in a tape-free graph: each output tensor keeps a
 closure that scatters its upstream gradient into its parents. Calling
-``backward()`` on a scalar walks the graph in reverse topological order.
-Inside ``no_grad()`` ops build no graph. All data is float64; shapes are
-plain numpy shapes.
+``backward()`` on a scalar walks the graph in reverse topological order
+and frees it as it goes: once an interior node (one with parents) has
+passed its gradient on, its ``.grad``, closure and parent edges are
+dropped, so activations and interior gradients are released during the
+walk. Afterwards interior tensors have ``.grad is None`` and only leaves
+(parameters, inputs) keep a gradient; a second ``backward()`` through a
+freed graph raises ``RuntimeError``. Gradient arrays are never mutated
+in place (accumulation rebinds ``.grad``), so code that changes a
+gradient rebinds it too. Inside ``no_grad()`` ops build no graph. All
+data is float64; shapes are plain numpy shapes.
 """
 
 from __future__ import annotations
@@ -74,14 +81,18 @@ class Tensor:
                 continue
             if id(node) in seen or not node.requires_grad:
                 continue
+            if node._backward is _freed:
+                _freed()
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 stack.append((p, False))
-        _accum(self, np.asarray(grad, dtype=np.float64))
-        for node in reversed(topo):
-            if node._backward is not None:
+        _accum(self, np.array(grad, dtype=np.float64))
+        while topo:
+            node = topo.pop()
+            if node._parents:
                 node._backward(node.grad)
+                node.grad, node._backward, node._parents = None, _freed, ()
 
     # operator sugar
     def __add__(self, other):
@@ -137,12 +148,25 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _freed(g=None):
+    """Closure of an interior node whose graph a backward pass has freed."""
+    raise RuntimeError("backward through a graph that an earlier backward() freed")
+
+
 def _accum(t, g):
+    """Add ``g`` to ``t.grad`` without mutating any array in place.
+
+    The first gradient is adopted as is: interior gradients are dropped
+    once passed on, so sharing them is safe. A leaf keeps its gradient
+    after backward, so it takes a copy; an op may hand the same array to
+    several parents (``a + b``), and the leaves must not share it.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = g if t._parents else g.copy()
+    else:
+        t.grad = t.grad + g
 
 
 def _unbroadcast(g, shape):
@@ -242,10 +266,11 @@ def gelu(a):
     """GELU via the tanh approximation 0.5x(1+tanh(sqrt(2/pi)(x+0.044715x^3)))."""
     a = as_tensor(a)
     x = a.data
-    u = _SQRT_2_OVER_PI * (x + _GELU_C * x**3)
+    x2 = x * x  # x**3 would go through libm pow, an order of magnitude slower
+    u = _SQRT_2_OVER_PI * (x + _GELU_C * (x2 * x))
     t = np.tanh(u)
     out = 0.5 * x * (1.0 + t)
-    du = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_C * x**2)
+    du = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_C * x2)
     deriv = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
     return _unary(a, out, lambda g: g * deriv)
 
@@ -388,11 +413,9 @@ def embed(table, ids):
     out = table.data[ids]
 
     def bwd(g):
-        if not table.requires_grad:
-            return
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, ids, g)
+        full = np.zeros_like(table.data)
+        np.add.at(full, ids, g)
+        _accum(table, full)
 
     return Tensor(out, table.requires_grad, (table,), bwd if table.requires_grad else None)
 
@@ -405,10 +428,8 @@ def take_pairs(a, rows, cols):
     out = a.data[rows, cols]
 
     def bwd(g):
-        if not a.requires_grad:
-            return
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, (rows, cols), g)
+        full = np.zeros_like(a.data)
+        np.add.at(full, (rows, cols), g)
+        _accum(a, full)
 
     return Tensor(out, a.requires_grad, (a,), bwd if a.requires_grad else None)

@@ -3,7 +3,9 @@
 Layout: magic ``CCT1``, u8 rank, rank little-endian u32 dims, then the
 values as little-endian float32 in row-major order. Values are downcast
 to float32 on write and upcast to float64 on read; writing what a read
-produced is byte-stable.
+produced is byte-stable. A write whose float32 values are not all finite
+(NaN, inf, or |x| beyond the float32 range) is refused before any byte
+is written.
 """
 
 from __future__ import annotations
@@ -24,7 +26,11 @@ def write_cct1(path, array):
     array = np.asarray(array, dtype=np.float64)
     if array.ndim > 255:
         raise FormatError("rank exceeds CCT1 limit")
-    payload = array.astype("<f4").tobytes()
+    with np.errstate(over="ignore"):
+        payload = array.astype("<f4")
+    if not np.all(np.isfinite(payload)):
+        raise FormatError(f"{path}: non-finite value in float32 payload")
+    payload = payload.tobytes()
     header = MAGIC + struct.pack("<B", array.ndim)
     header += struct.pack(f"<{array.ndim}I", *array.shape)
     Path(path).write_bytes(header + payload)

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from ccx import trainer
-from ccx.cli import EXIT_IO, EXIT_USAGE, main
+from ccx.cli import EXIT_IO, EXIT_NUMERIC, EXIT_USAGE, main
+from ccx.optim import AdamW
 
 DATA = Path(__file__).parent / "data"
 
@@ -97,6 +98,32 @@ class TestTrain:
         p = tmp_path / "bad.cfg"
         p.write_text("bogus.key = 1\n")
         assert main(["train", "--config", str(p)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("line", ["encoder.depth = abc", "train.grad_clip = 1.0.0"])
+    def test_bad_number_is_usage_error(self, tmp_path, capsys, line):
+        p = tmp_path / "bad.cfg"
+        p.write_text("# comment\n" + line + "\n")
+        assert main(["train", "--config", str(p)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        key = line.split(" =")[0]
+        assert err.startswith(f"error: {p}:2: {key}: expected ")
+        assert err.count("\n") == 1
+
+    def test_non_finite_checkpoint_is_numeric_error(self, trained, tmp_path, capsys,
+                                                     monkeypatch):
+        real = AdamW.step
+
+        def step(self, lr_map):
+            real(self, lr_map)
+            self.v[self.params[0].name][...] = 1e39  # beyond float32
+
+        monkeypatch.setattr(AdamW, "step", step)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(trained["config"].read_text() + f"train.out = {tmp_path / 'run'}\n")
+        assert main(["train", "--config", str(cfg), "--stage", "1"]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "non-finite" in captured.err
+        assert captured.err.count("\n") == 1
 
     def test_full_run_writes_stage_checkpoints(self, trained):
         for stage in (1, 2, 3):

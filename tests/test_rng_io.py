@@ -64,6 +64,19 @@ class TestCCT1:
         assert blob[5:13] == (2).to_bytes(4, "little") + (3).to_bytes(4, "little")
         assert len(blob) == 13 + 4 * 6
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39, -1e39])
+    def test_non_finite_refused_before_writing(self, tmp_path, bad):
+        p = tmp_path / "t.cct1"
+        with pytest.raises(FormatError, match="non-finite"):
+            write_cct1(p, np.array([[1.0, 2.0], [bad, 3.0]]))
+        assert not p.exists()
+
+    def test_float32_max_is_written(self, tmp_path):
+        p = tmp_path / "t.cct1"
+        top = float(np.finfo(np.float32).max)
+        write_cct1(p, np.array([top, -top]))
+        np.testing.assert_array_equal(read_cct1(p), [top, -top])
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.cct1"
         p.write_bytes(b"NOPE" + bytes(20))

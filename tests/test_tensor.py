@@ -279,3 +279,161 @@ class TestNoGrad:
                                                         "projector", "decoder"}
         for name in before:
             np.testing.assert_array_equal(after[name], before[name])
+
+
+def _leaf(seed, shape):
+    return T.Tensor(Rng(seed).normal(shape), requires_grad=True)
+
+
+class TestBackwardFreesGraph:
+    def test_interior_released_leaves_keep_grads(self):
+        a, b = _leaf(50, (3, 4)), _leaf(51, (4, 2))
+        h = T.gelu(T.matmul(a, b))
+        y = T.tsum(h * h)
+        y.backward()
+        for t in (h, y):
+            assert t.grad is None and t._parents == ()
+        z = T.Tensor(a.data @ b.data, requires_grad=True)
+        T.gelu(z).backward(2.0 * h.data)
+        np.testing.assert_allclose(a.grad, z.grad @ b.data.T, rtol=1e-14)
+        np.testing.assert_allclose(b.grad, a.data.T @ z.grad, rtol=1e-14)
+
+    def test_second_backward_raises(self):
+        a = _leaf(52, (3,))
+        y = T.tsum(T.tanh(a) * 2.0)
+        y.backward()
+        first = a.grad.copy()
+        with pytest.raises(RuntimeError, match="freed"):
+            y.backward()
+        np.testing.assert_array_equal(a.grad, first)
+
+    def test_graph_built_on_freed_node_raises(self):
+        a = _leaf(53, (3,))
+        h = T.exp(a)
+        T.tsum(h).backward()
+        with pytest.raises(RuntimeError, match="freed"):
+            T.tsum(h * 3.0).backward()
+
+    def test_add_of_two_leaves_gives_independent_grads(self):
+        a, b = _leaf(54, (2, 3)), _leaf(55, (2, 3))
+        T.tsum(a + b).backward()
+        np.testing.assert_array_equal(a.grad, np.ones((2, 3)))
+        np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+        a.grad[0, 0] = 7.0
+        assert b.grad[0, 0] == 1.0
+
+    def test_shared_pass_through_gives_independent_grads(self):
+        a, b = _leaf(56, (6,)), _leaf(57, (2, 3))
+        T.tsum(T.reshape(a, (2, 3)) + T.transpose(T.transpose(b, (1, 0)), (1, 0))).backward()
+        a.grad[:] = 5.0
+        np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+
+    def test_square_accumulates_both_operands(self):
+        x = _leaf(58, (4,))
+        T.tsum(x * x).backward()
+        np.testing.assert_allclose(x.grad, 2.0 * x.data, rtol=1e-15)
+
+    def test_leaf_used_in_two_branches(self):
+        x, w = _leaf(59, (2, 3)), _leaf(60, (2, 3))
+        T.tsum(T.tanh(x) + x * w).backward()
+        np.testing.assert_allclose(x.grad, 1.0 - np.tanh(x.data) ** 2 + w.data, rtol=1e-14)
+        np.testing.assert_array_equal(w.grad, x.data)
+        before = x.grad.copy()
+        w.grad[:] = 0.0
+        np.testing.assert_array_equal(x.grad, before)
+
+    def test_caller_root_gradient_is_copied(self):
+        x = _leaf(61, (3,))
+        g = np.array([1.0, 2.0, 3.0])
+        (x * 1.0).backward(g)
+        g[:] = 0.0
+        np.testing.assert_array_equal(x.grad, [1.0, 2.0, 3.0])
+        x.grad[:] = 9.0
+        np.testing.assert_array_equal(g, 0.0)
+
+    def test_accumulation_never_mutates_an_earlier_grad(self):
+        x = _leaf(62, (3,))
+        T.tsum(x * 2.0).backward()
+        first = x.grad
+        T.tsum(x * 3.0).backward()
+        np.testing.assert_array_equal(first, np.full(3, 2.0))
+        np.testing.assert_array_equal(x.grad, np.full(3, 5.0))
+
+    def test_embed_repeated_ids_within_and_across_backward(self):
+        table = _leaf(63, (5, 2))
+        ids = [1, 3, 1, 1]
+        g = Rng(64).normal((4, 2))
+        T.tsum(T.embed(table, ids) * T.Tensor(g)).backward()
+        want = np.zeros((5, 2))
+        want[1] = g[0] + g[2] + g[3]
+        want[3] = g[1]
+        np.testing.assert_allclose(table.grad, want, rtol=1e-15)
+        first = table.grad
+        T.tsum(T.embed(table, ids) * T.Tensor(g)).backward()
+        np.testing.assert_allclose(table.grad, 2.0 * want, rtol=1e-15)
+        np.testing.assert_allclose(first, want, rtol=1e-15)
+
+    def test_take_pairs_repeated_pairs_within_and_across_backward(self):
+        x = _leaf(65, (3, 4))
+        rows, cols = [0, 2, 0, 0], [1, 3, 1, 2]
+        g = np.array([1.0, 2.0, 3.0, 4.0])
+        T.tsum(T.take_pairs(x, rows, cols) * T.Tensor(g)).backward()
+        want = np.zeros((3, 4))
+        want[0, 1], want[2, 3], want[0, 2] = 4.0, 2.0, 4.0
+        np.testing.assert_array_equal(x.grad, want)
+        T.tsum(T.take_pairs(x, rows, cols) * T.Tensor(g)).backward()
+        np.testing.assert_array_equal(x.grad, 2.0 * want)
+
+    def test_clip_grads_rebinds_instead_of_mutating(self):
+        from ccx.nn import clip_grads
+
+        params = [Parameter(f"decoder.p{i}", _leaf(66 + i, (3,)), "decoder") for i in range(2)]
+        arrays = [np.full(3, 4.0), np.full(3, -3.0)]
+        for p, arr in zip(params, arrays):
+            p.tensor.grad = arr
+        norm = clip_grads(params, 1.0)
+        assert norm == pytest.approx(np.sqrt(3 * 16 + 3 * 9), rel=1e-15)
+        np.testing.assert_array_equal(arrays[0], np.full(3, 4.0))
+        np.testing.assert_array_equal(arrays[1], np.full(3, -3.0))
+        np.testing.assert_allclose(params[0].tensor.grad, arrays[0] / norm, rtol=1e-15)
+        np.testing.assert_allclose(params[1].tensor.grad, arrays[1] / norm, rtol=1e-15)
+
+
+class TestGelu:
+    def test_matches_closed_form(self):
+        x = 3.0 * Rng(70).normal((64,))
+        want = 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+        np.testing.assert_allclose(T.gelu(T.Tensor(x)).data, want, rtol=1e-14, atol=0)
+
+    def test_gradcheck_wide_range(self):
+        x = T.Tensor(3.0 * Rng(71).normal((4, 8)), requires_grad=True)
+        w = Rng(72).normal((4, 8))
+        fd_check(lambda: T.tsum(T.gelu(x) * T.Tensor(w)), {"x": x}, tol=1e-7,
+                 max_entries=32)
+
+
+def test_backward_peak_memory_stays_near_forward_live_bytes():
+    """Backward frees the graph as it goes, so its peak traced allocation
+    stays close to what forward left alive (about 2x when every interior
+    gradient is kept)."""
+    import tracemalloc
+
+    from ccx.model import CaptionModel, build_vocabulary
+    from ccx.verify import small_configs
+
+    model = CaptionModel(*small_configs(), build_vocabulary(), seed=3)
+    r = Rng(44)
+    i1, i2 = r.uniform((16, 16, 3)), r.uniform((16, 16, 3))
+    caption = model.caption_ids("a road is built")
+    model.forward_loss(i1, i2, caption).backward()  # creates the lazy parameters
+    model.store.zero_grad()
+    tracemalloc.start()
+    try:
+        loss = model.forward_loss(i1, i2, caption)
+        live, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * live, (peak, live)
