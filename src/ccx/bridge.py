@@ -120,8 +120,8 @@ class PromptLayout:
     expanded_len: int
 
     @classmethod
-    def build(cls, vocab: Vocabulary, n_tokens, prompt=PROMPT):
-        ids = [vocab.index[w] for w in word_tokens(prompt)]
+    def build(cls, vocab: Vocabulary, n_tokens):
+        ids = [vocab.index[w] for w in word_tokens(PROMPT)]
         i1 = ids.index(IMG1)
         i2 = ids.index(IMG2)
         span1 = (i1, n_tokens)

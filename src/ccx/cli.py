@@ -68,21 +68,24 @@ def _parser():
     return p
 
 
+def _error(message, code):
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def _sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def cmd_gen_data(args):
     if args.pairs < 1:
-        print("error: --pairs must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        return _error("--pairs must be >= 1", EXIT_USAGE)
     try:
         manifest = data.generate_dataset(
             args.pairs, args.seed, args.out, image_size=args.image_size,
             weight=args.weight, duplicate_captions=args.overfit)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _error(exc, EXIT_IO)
     records = data.load_manifest(manifest)
     print(f"manifest: {manifest}")
     print(f"records: {len(records)}")
@@ -94,18 +97,15 @@ def cmd_train(args):
     try:
         cfg = cfgmod.load_config(args.config)
     except (OSError, cfgmod.ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc, EXIT_USAGE)
     stages = (1, 2, 3) if args.stage == "all" else (int(args.stage),)
     try:
         ckpt, _ = trainer.run_pipeline(cfg, stages=stages, resume_from=args.resume,
                                        log=print)
     except (NumericAbort, FormatError) as exc:  # FormatError: non-finite values to save
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _error(exc, EXIT_NUMERIC)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _error(exc, EXIT_IO)
     print(f"checkpoint: {ckpt}")
     return 0
 
@@ -121,13 +121,13 @@ def cmd_caption(args):
     try:
         model = _load_model_from_checkpoint(args.config, args.checkpoint)
         records = data.load_manifest(args.manifest)
-    except (OSError, ValueError) as exc:  # config, manifest and checkpoint shape errors
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except cfgmod.ConfigError as exc:
+        return _error(exc, EXIT_USAGE)
+    except (OSError, ValueError) as exc:  # manifest and checkpoint shape errors
+        return _error(exc, EXIT_IO)
     by_id = {r.id: r for r in records}
     if args.pair not in by_id:
-        print(f"error: unknown pair id {args.pair!r}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(f"unknown pair id {args.pair!r}", EXIT_USAGE)
     rec = by_id[args.pair]
     i1, i2 = data.load_images(rec, Path(args.manifest).parent)
     text, _, truncated = model.generate(i1, i2)
@@ -155,12 +155,11 @@ def cmd_eval_metrics(args):
             report = trainer.evaluate_checkpoint(
                 model, records, Path(args.manifest).parent, split=args.split)
         else:
-            print("error: need --hyp/--ref or --checkpoint/--config/--manifest",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            return _error("need --hyp/--ref or --checkpoint/--config/--manifest", EXIT_USAGE)
+    except (cfgmod.ConfigError, metrics.CorpusTooSmall) as exc:
+        return _error(exc, EXIT_USAGE)
     except (OSError, ValueError, data.ManifestError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _error(exc, EXIT_IO)
     print(report.format())
     if args.json_out:
         Path(args.json_out).write_text(report.to_json() + "\n")
@@ -186,8 +185,7 @@ def cmd_config_init(args):
     try:
         cfgmod.dump_config(cfg, args.out)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _error(exc, EXIT_IO)
     print(f"wrote {args.out}")
     return 0
 

@@ -20,6 +20,15 @@ from dataclasses import dataclass
 from .bridge import word_tokens
 
 
+class CorpusTooSmall(ValueError):
+    """Fewer than 2 entries: too few for CIDEr-D's document frequencies."""
+
+
+def require_entries(n, what="the corpus"):
+    if n < 2:
+        raise CorpusTooSmall(f"scoring needs at least 2 entries; {what} has {n}")
+
+
 @dataclass
 class EvalEntry:
     id: str
@@ -180,8 +189,7 @@ def cider_d(corpus, max_n=4, sigma=6.0):
     clipped tf-idf cosine, times the Gaussian length penalty; the
     reported value is the corpus mean x100.
     """
-    if len(corpus) < 2:
-        raise ValueError("CIDEr-D needs at least 2 entries for document frequencies")
+    require_entries(len(corpus))
     # document frequencies over reference sets
     df = [defaultdict(int) for _ in range(max_n)]
     for e in corpus:
@@ -224,6 +232,7 @@ def s_star_m(bleu4, meteor_score, rouge_score, cider_score):
 
 
 def evaluate(corpus) -> MetricReport:
+    require_entries(len(corpus))
     b = bleu(corpus)
     m = meteor(corpus)
     r = rouge_l(corpus)

@@ -19,10 +19,6 @@ from .rng import Rng
 
 GROUPS = ("encoder", "enhancer", "projector", "decoder")
 
-# When set to a list, every attention call appends (name, probs array);
-# used by verification code to audit all attention sites.
-ATTN_PROBS = None
-
 
 @dataclass
 class Parameter:
@@ -107,7 +103,8 @@ def attention(store, name, q_in, kv_in, d, heads, mask=None, cache=None):
     call's head-split keys and values are appended to ``cache[name]`` and
     the queries attend over everything cached so far, so Tk counts the
     earlier calls' rows too. Returns (output, probs) where probs has
-    shape [heads, Tq, Tk].
+    shape [heads, Tq, Tk]; the returned probs are how callers audit an
+    attention site (tests wrap ``nn.attention`` to record every site).
     """
     if d % heads:
         raise T.ShapeError(f"attention: width {d} not divisible by {heads} heads")
@@ -125,8 +122,6 @@ def attention(store, name, q_in, kv_in, d, heads, mask=None, cache=None):
     if mask is not None:
         scores = scores + T.Tensor(mask)
     probs = T.softmax(scores, axis=-1)
-    if ATTN_PROBS is not None:
-        ATTN_PROBS.append((name, probs.data))
     ctx = T.matmul(probs, v)  # [h, Tq, dh]
     tq = q_in.shape[0]
     merged = T.reshape(T.transpose(ctx, (1, 0, 2)), (tq, d))

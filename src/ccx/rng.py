@@ -36,9 +36,9 @@ def _fnv1a(text):
 class Rng:
     """Splitmix64 stream addressed by an incrementing counter."""
 
-    def __init__(self, seed, counter=0):
+    def __init__(self, seed):
         self.seed = np.uint64(seed)
-        self.counter = np.uint64(counter)
+        self.counter = np.uint64(0)
 
     def fork(self, label):
         """Independent child stream derived from a string label."""
@@ -79,6 +79,3 @@ class Rng:
             j = self.randint(i + 1)
             out[i], out[j] = out[j], out[i]
         return out
-
-    def state(self):
-        return int(self.seed), int(self.counter)

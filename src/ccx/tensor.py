@@ -1,7 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every op builds a node in a tape-free graph: each output tensor keeps a
-closure that scatters its upstream gradient into its parents. Calling
+Ops build a tape-free graph: a recorded result keeps its parents and a
+closure that scatters its upstream gradient into them. ``_node`` alone
+decides whether a result is recorded: only when grad mode is on (not
+inside ``no_grad()``) and some input requires grad. Any other result,
+such as an op on constant inputs (masks, ``Tensor(w)`` products), is a
+plain tensor that keeps no parents and no closure. Calling
 ``backward()`` on a scalar walks the graph in reverse topological order
 and frees it as it goes: once an interior node (one with parents) has
 passed its gradient on, its ``.grad``, closure and parent edges are
@@ -10,8 +14,8 @@ walk. Afterwards interior tensors have ``.grad is None`` and only leaves
 (parameters, inputs) keep a gradient; a second ``backward()`` through a
 freed graph raises ``RuntimeError``. Gradient arrays are never mutated
 in place (accumulation rebinds ``.grad``), so code that changes a
-gradient rebinds it too. Inside ``no_grad()`` ops build no graph. All
-data is float64; shapes are plain numpy shapes.
+gradient rebinds it too. All data is float64; shapes are plain numpy
+shapes.
 """
 
 from __future__ import annotations
@@ -20,9 +24,6 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
-
-# When True, every freshly created tensor is checked for NaN/Inf.
-DEBUG_FINITE = False
 
 # False inside ``no_grad()``
 _GRAD_ENABLED = True
@@ -40,14 +41,10 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
-        if _parents and not _GRAD_ENABLED:
-            requires_grad, _parents, _backward = False, (), None
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = _parents
         self._backward = _backward
-        if DEBUG_FINITE and not np.all(np.isfinite(self.data)):
-            raise FloatingPointError("non-finite values in tensor")
 
     @property
     def shape(self):
@@ -59,9 +56,6 @@ class Tensor:
 
     def item(self):
         return float(self.data)
-
-    def detach(self):
-        return Tensor(self.data.copy())
 
     def zero_grad(self):
         self.grad = None
@@ -119,12 +113,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def reshape(self, *shape):
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        return transpose(self, axes)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -180,40 +168,50 @@ def _unbroadcast(g, shape):
     return g
 
 
-def _binary(a, b, out_data, da, db):
-    a, b = as_tensor(a), as_tensor(b)
-    req = a.requires_grad or b.requires_grad
+def _node(out, parents, bwd):
+    """The result of an op: recorded (requires grad, keeps ``parents`` and
+    the closure ``bwd``) only when grad mode is on and some parent
+    requires grad; otherwise a plain tensor with no graph."""
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        return Tensor(out, True, parents, bwd)
+    return Tensor(out)
 
+
+def _unary(a, out_data, da):
+    return _node(out_data, (a,), lambda g: _accum(a, da(g)))
+
+
+def _binary(a, b, out_data, da, db):
     def bwd(g):
         _accum(a, _unbroadcast(da(g), a.shape))
         _accum(b, _unbroadcast(db(g), b.shape))
 
-    return Tensor(out_data, req, (a, b), bwd if req else None)
+    return _node(out_data, (a, b), bwd)
 
 
-def add(a, b):
+def _operands(a, b, name):
+    """Both operands as tensors, after checking that their shapes broadcast."""
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "add")
-    return _binary(a, b, a.data + b.data, lambda g: g, lambda g: g)
-
-
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "sub")
-    return _binary(a, b, a.data - b.data, lambda g: g, lambda g: -g)
-
-
-def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "mul")
-    return _binary(a, b, a.data * b.data, lambda g: g * b.data, lambda g: g * a.data)
-
-
-def _check_broadcast(a, b, name):
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
         raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} do not broadcast")
+    return a, b
+
+
+def add(a, b):
+    a, b = _operands(a, b, "add")
+    return _binary(a, b, a.data + b.data, lambda g: g, lambda g: g)
+
+
+def sub(a, b):
+    a, b = _operands(a, b, "sub")
+    return _binary(a, b, a.data - b.data, lambda g: g, lambda g: -g)
+
+
+def mul(a, b):
+    a, b = _operands(a, b, "mul")
+    return _binary(a, b, a.data * b.data, lambda g: g * b.data, lambda g: g * a.data)
 
 
 def matmul(a, b):
@@ -226,24 +224,12 @@ def matmul(a, b):
         np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     except ValueError:
         raise ShapeError(f"matmul batch mismatch: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
-    req = a.requires_grad or b.requires_grad
 
     def bwd(g):
         _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
         _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
-    return Tensor(out, req, (a, b), bwd if req else None)
-
-
-def _unary(a, out_data, da):
-    a = as_tensor(a)
-    req = a.requires_grad
-
-    def bwd(g):
-        _accum(a, da(g))
-
-    return Tensor(out_data, req, (a,), bwd if req else None)
+    return _node(a.data @ b.data, (a, b), bwd)
 
 
 def sigmoid(a):
@@ -300,7 +286,7 @@ def softmax(a, axis=-1):
         dot = (g * y).sum(axis=axis, keepdims=True)
         _accum(a, y * (g - dot))
 
-    return Tensor(y, a.requires_grad, (a,), bwd if a.requires_grad else None)
+    return _node(y, (a,), bwd)
 
 
 def log_softmax(a, axis=-1):
@@ -314,7 +300,7 @@ def log_softmax(a, axis=-1):
     def bwd(g):
         _accum(a, g - sm * g.sum(axis=axis, keepdims=True))
 
-    return Tensor(out, a.requires_grad, (a,), bwd if a.requires_grad else None)
+    return _node(out, (a,), bwd)
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
@@ -329,8 +315,6 @@ def layer_norm(x, gain, bias, eps=1e-5):
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
-    out = xhat * gain.data + bias.data
-    req = x.requires_grad or gain.requires_grad or bias.requires_grad
 
     def bwd(g):
         lead = tuple(range(g.ndim - 1))
@@ -341,41 +325,36 @@ def layer_norm(x, gain, bias, eps=1e-5):
         m2 = (gy * xhat).mean(axis=-1, keepdims=True)
         _accum(x, (gy - m1 - xhat * m2) * inv)
 
-    return Tensor(out, req, (x, gain, bias), bwd if req else None)
+    return _node(xhat * gain.data + bias.data, (x, gain, bias), bwd)
 
 
 def concat(tensors, axis=0):
-    tensors = [as_tensor(t) for t in tensors]
+    tensors = tuple(as_tensor(t) for t in tensors)
     ref = tensors[0].shape
     for t in tensors[1:]:
         if len(t.shape) != len(ref) or any(
             t.shape[i] != ref[i] for i in range(len(ref)) if i != axis % len(ref)
         ):
             raise ShapeError(f"concat: incompatible shapes {[t.shape for t in tensors]}")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    req = any(t.requires_grad for t in tensors)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
+    offsets = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
     def bwd(g):
         for t, piece in zip(tensors, np.split(g, offsets, axis=axis)):
             _accum(t, piece)
 
-    return Tensor(out, req, tuple(tensors), bwd if req else None)
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, bwd)
 
 
 def tsum(a, axis=None, keepdims=False):
     a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def bwd(g):
+    def da(g):
         if axis is None:
-            _accum(a, np.full_like(a.data, float(g)) if np.ndim(g) == 0 else g * np.ones_like(a.data))
-            return
+            return np.full_like(a.data, float(g)) if np.ndim(g) == 0 else g * np.ones_like(a.data)
         gg = g if keepdims else np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(gg, a.data.shape).copy())
+        return np.broadcast_to(gg, a.data.shape).copy()
 
-    return Tensor(out, a.requires_grad, (a,), bwd if a.requires_grad else None)
+    return _unary(a, a.data.sum(axis=axis, keepdims=keepdims), da)
 
 
 def tmean(a, axis=None, keepdims=False):
@@ -386,50 +365,40 @@ def tmean(a, axis=None, keepdims=False):
 
 def reshape(a, shape):
     a = as_tensor(a)
-    out = a.data.reshape(shape)
 
     def bwd(g):
         _accum(a, g.reshape(a.data.shape))
 
-    return Tensor(out, a.requires_grad, (a,), bwd if a.requires_grad else None)
+    return _node(a.data.reshape(shape), (a,), bwd)
 
 
 def transpose(a, axes):
     a = as_tensor(a)
     axes = tuple(axes)
-    out = a.data.transpose(axes)
     inv = np.argsort(axes)
 
     def bwd(g):
         _accum(a, g.transpose(inv))
 
-    return Tensor(out, a.requires_grad, (a,), bwd if a.requires_grad else None)
+    return _node(a.data.transpose(axes), (a,), bwd)
+
+
+def _scatter_add(shape, index, g):
+    """Zeros of ``shape`` with ``g`` added at ``index``, repeats summed."""
+    full = np.zeros(shape)
+    np.add.at(full, index, g)
+    return full
 
 
 def embed(table, ids):
     """Row gather: out[j] = table[ids[j]]; backward scatter-adds."""
     table = as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
-    out = table.data[ids]
-
-    def bwd(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, ids, g)
-        _accum(table, full)
-
-    return Tensor(out, table.requires_grad, (table,), bwd if table.requires_grad else None)
+    return _unary(table, table.data[ids], lambda g: _scatter_add(table.shape, ids, g))
 
 
 def take_pairs(a, rows, cols):
     """Pick a[rows[j], cols[j]] for each j from a rank-2 tensor."""
     a = as_tensor(a)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    out = a.data[rows, cols]
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, (rows, cols), g)
-        _accum(a, full)
-
-    return Tensor(out, a.requires_grad, (a,), bwd if a.requires_grad else None)
+    index = (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))
+    return _unary(a, a.data[index], lambda g: _scatter_add(a.shape, index, g))

@@ -37,23 +37,16 @@ class StageConfig:
     encoder_lr_ratio: float = 0.2
     weight_decay: float = 0.01
     grad_clip: float = 1.0
-    trainable_groups: tuple = None  # None -> schedule default
 
     def __post_init__(self):
         if self.stage not in (1, 2, 3):
             raise ValueError("stage must be 1, 2 or 3")
-        if self.trainable_groups is None:
-            self.trainable_groups = ("enhancer",) if self.stage == 1 else tuple(nn.GROUPS)
 
     def lr_map(self):
-        lrs = {}
-        for g in nn.GROUPS:
-            if g not in self.trainable_groups:
-                lrs[g] = 0.0
-            elif g == "encoder" and self.stage != 1:
-                lrs[g] = self.encoder_lr_ratio * self.base_lr
-            else:
-                lrs[g] = self.base_lr
+        if self.stage == 1:  # only the enhancer trains
+            return {g: self.base_lr if g == "enhancer" else 0.0 for g in nn.GROUPS}
+        lrs = dict.fromkeys(nn.GROUPS, self.base_lr)
+        lrs["encoder"] = self.encoder_lr_ratio * self.base_lr
         return lrs
 
 
@@ -206,13 +199,11 @@ def run_pipeline(cfg, stages=(1, 2, 3), resume_from=None, log=None):
 
 def evaluate_checkpoint(model: CaptionModel, records, data_dir,
                         split=None) -> metrics.MetricReport:
+    records = [rec for rec in records if split is None or rec.split == split]
+    metrics.require_entries(len(records), "the manifest" if split is None else f"split {split!r}")
     items = []
     for rec in records:
-        if split is not None and rec.split != split:
-            continue
         i1, i2 = data.load_images(rec, data_dir)
         hyp, _, _ = model.generate(i1, i2)
         items.append((rec.id, hyp, rec.captions))
-    if not items:
-        raise ValueError("no records in the requested split")
     return metrics.evaluate(metrics.make_corpus(items))

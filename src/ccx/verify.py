@@ -87,7 +87,7 @@ def _model_loss_builder(model, seed):
     return lambda: model.forward_loss(img1, img2, caption)
 
 
-def check_module(module, seed=0, max_entries=4):
+def check_module(module, seed=0):
     """Run the named suite; returns {parameter name: max rel err}."""
     model = _small_model(seed)
     build = _model_loss_builder(model, seed)
@@ -97,8 +97,7 @@ def check_module(module, seed=0, max_entries=4):
         "bridge": ("projector", "decoder"),
         "all": tuple(nn.GROUPS),
     }[module]
-    return finite_diff_check(build, _param_tensors(model, groups),
-                             max_entries=max_entries, seed=seed)
+    return finite_diff_check(build, _param_tensors(model, groups), seed=seed)
 
 
 def group_summary(errors):

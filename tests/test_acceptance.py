@@ -150,7 +150,7 @@ def test_criterion_3_gradient_checks():
         assert worst < 1e-4, f"worst rel err {worst:.3e}"
 
 
-def test_criterion_4_enhancer_invariants():
+def test_criterion_4_enhancer_invariants(record_attention):
     with criterion(4, "enhancement invariants: shapes, softmax, residual, "
                       "symmetry, bypass"):
         enc_cfg, enh_cfg, _ = verify.small_configs()
@@ -160,11 +160,8 @@ def test_criterion_4_enhancer_invariants():
 
         store = nn.ParamStore(Rng(3))
         pyr = encoder.encode_pair(store, i1, i2, enc_cfg)
-        nn.ATTN_PROBS = probs = []
-        try:
+        with record_attention() as probs:
             out = enhancer.enhance(store, pyr, enh_cfg)
-        finally:
-            nn.ATTN_PROBS = None
         # shape preservation
         res1, res2 = pyr.residual
         assert out.fused[0].shape == res1.shape

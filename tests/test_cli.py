@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from ccx import trainer
+from ccx import data, trainer
 from ccx.cli import EXIT_IO, EXIT_NUMERIC, EXIT_USAGE, main
+from ccx.model import CaptionModel
 from ccx.optim import AdamW
 
 DATA = Path(__file__).parent / "data"
@@ -174,6 +175,17 @@ class TestCaption:
         assert captured.err.startswith("error: ") and "shape" in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [["caption", "--pair", "pair0000"], ["eval-metrics"]])
+    def test_bad_number_config_is_usage_error(self, trained, tmp_path, capsys, command):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("encoder.depth = abc\n")
+        assert main([command[0], "--checkpoint", str(trained["checkpoint"]),
+                     "--config", str(cfg), "--manifest", str(trained["manifest"]),
+                     *command[1:]]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:1: encoder.depth: expected ")
+        assert err.count("\n") == 1
+
 
 class TestEvalMetrics:
     def test_golden_fixture_json(self, tmp_path, capsys):
@@ -205,6 +217,38 @@ class TestEvalMetrics:
         r.write_text("a\n")
         assert main(["eval-metrics", "--hyp", str(h), "--ref", str(r)]) == EXIT_IO
         capsys.readouterr()
+
+    @pytest.mark.parametrize("lines", [0, 1])
+    def test_corpus_too_small_is_usage_error(self, tmp_path, capsys, lines):
+        h = tmp_path / "h.txt"
+        r = tmp_path / "r.txt"
+        h.write_text("a road is built\n" * lines)
+        r.write_text("a road is built\n" * lines)
+        assert main(["eval-metrics", "--hyp", str(h), "--ref", str(r)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: scoring needs at least 2 entries; the corpus has {lines}\n"
+
+    @pytest.mark.parametrize("split", [None, "test"])
+    def test_one_record_split_is_usage_error(self, trained, tmp_path, capsys, monkeypatch,
+                                             split):
+        base = trained["manifest"].parent
+        records = data.load_manifest(trained["manifest"])
+        for rec in records:
+            rec.pathA, rec.pathB = str(base / rec.pathA), str(base / rec.pathB)
+        records[0].split = "test"
+        manifest = tmp_path / "manifest.jsonl"
+        data.write_manifest(records if split else records[:1], manifest)
+
+        def generate(*args):
+            raise AssertionError("captioned before the split size was checked")
+
+        monkeypatch.setattr(CaptionModel, "generate", generate)
+        assert main(["eval-metrics", "--checkpoint", str(trained["checkpoint"]),
+                     "--config", str(trained["config"]), "--manifest", str(manifest),
+                     *(["--split", split] if split else [])]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        what = "the manifest" if split is None else "split 'test'"
+        assert err == f"error: scoring needs at least 2 entries; {what} has 1\n"
 
     def test_missing_inputs_usage_error(self, capsys):
         assert main(["eval-metrics"]) == EXIT_USAGE

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ccx import enhancer, nn
+from ccx import enhancer
 from ccx import tensor as T
 from ccx.encoder import FeaturePyramid
 from ccx.nn import ParamStore
@@ -111,18 +111,15 @@ class TestChangeAwareLayer:
         f1t, f2t, df = enhancer.change_aware_layer(store, "enhancer.catl0", f1, f2, cfg)
         assert f1t.shape == f2t.shape == df.shape == (N, D)
 
-    def test_every_attention_site_rows_sum_to_one(self, store, cfg):
+    def test_every_attention_site_rows_sum_to_one(self, store, cfg, record_attention):
         # one self-attention, one difference-to-images cross-attention,
         # and one injection per stream
         f1, f2 = _pair(8)
-        nn.ATTN_PROBS = []
-        try:
+        with record_attention() as sites:
             enhancer.change_aware_layer(store, "enhancer.catl0", f1, f2, cfg)
-            assert len(nn.ATTN_PROBS) == 4
-            for name, probs in nn.ATTN_PROBS:
-                np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
-        finally:
-            nn.ATTN_PROBS = None
+        assert len(sites) == 4
+        for name, probs in sites:
+            np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_gradient_couples_both_streams(self, store, cfg):
         f1, f2 = _pair(9, grad=True)

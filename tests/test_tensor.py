@@ -221,30 +221,55 @@ class TestAdamW:
         assert not opt.m["decoder.p"].any() and not opt.v["decoder.p"].any()
 
 
-def test_debug_finite_mode():
-    T.DEBUG_FINITE = True
-    try:
-        with pytest.raises(FloatingPointError):
-            T.Tensor([np.nan])
-    finally:
-        T.DEBUG_FINITE = False
+def _every_op(x, w, v):
+    """Every public op on x [3,4] (positive), w [4,2] and v [4] ->
+    {name: (result, the inputs a recorded result keeps as parents)}."""
+    return {
+        "add": (x + v, (x, v)),
+        "sub": (x - v, (x, v)),
+        "mul": (x * v, (x, v)),
+        "matmul": (T.matmul(x, w), (x, w)),
+        "sigmoid": (T.sigmoid(x), (x,)),
+        "tanh": (T.tanh(x), (x,)),
+        "gelu": (T.gelu(x), (x,)),
+        "exp": (T.exp(x), (x,)),
+        "log": (T.log(x), (x,)),
+        "softmax": (T.softmax(x), (x,)),
+        "log_softmax": (T.log_softmax(x), (x,)),
+        "layer_norm": (T.layer_norm(x, v, v), (x, v, v)),
+        "concat": (T.concat([x, x], axis=0), (x, x)),
+        "tsum": (T.tsum(x, axis=0), (x,)),
+        "tmean": (T.tmean(x), (x,)),  # a scaled tsum: the tsum node keeps x
+        "reshape": (T.reshape(x, (4, 3)), (x,)),
+        "transpose": (T.transpose(x, (1, 0)), (x,)),
+        "embed": (T.embed(x, [0, 2, 0]), (x,)),
+        "take_pairs": (T.take_pairs(x, [0, 2], [1, 3]), (x,)),
+    }
 
 
 class TestNoGrad:
     def test_ops_record_no_graph(self):
         r = Rng(41)
-        a = T.Tensor(r.normal((3, 4)), requires_grad=True)
-        b = T.Tensor(r.normal((4, 2)), requires_grad=True)
+        data = (0.5 + r.uniform((3, 4)), r.normal((4, 2)), r.normal((4,)))
+        leaves = [T.Tensor(d, requires_grad=True) for d in data]
         with T.no_grad():
-            outs = [T.matmul(a, b), a + 1.0, T.gelu(a), T.softmax(a),
-                    T.concat([a, a], axis=0), T.embed(a, [0, 2])]
+            unrecorded = _every_op(*leaves)
             leaf = T.Tensor(np.zeros(2), requires_grad=True)
-        for y in outs:
-            assert y._parents == () and y._backward is None
-            assert not y.requires_grad
+        constants = _every_op(*(T.Tensor(d) for d in data))
+        for outs in (unrecorded, constants):
+            assert len(outs) == 19
+            for name, (y, _) in outs.items():
+                assert y._parents == () and y._backward is None, name
+                assert not y.requires_grad, name
         assert leaf.requires_grad  # explicitly created leaves keep their flag
-        y = T.matmul(a, b)
-        assert y.requires_grad and y._parents == (a, b)
+        # one input that requires grad is enough; constants stay parents too
+        mixed = [leaves[0], T.Tensor(data[1]), T.Tensor(data[2])]
+        for inputs in (leaves, mixed):
+            for name, (y, parents) in _every_op(*inputs).items():
+                if name == "tmean":
+                    y = y._parents[0]
+                assert y.requires_grad and y._backward is not None, name
+                assert y._parents == parents, name
 
     def test_grad_mode_restored_after_exception(self):
         a = T.Tensor(np.ones(3), requires_grad=True)
