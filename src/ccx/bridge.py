@@ -85,13 +85,6 @@ class Vocabulary:
             raise ValueError(f"{path}: specials out of place")
         return cls(toks[5:])
 
-    @classmethod
-    def from_texts(cls, texts):
-        words = []
-        for t in texts:
-            words.extend(word_tokens(t))
-        return cls(words)
-
 
 @dataclass
 class DecoderConfig:
@@ -148,53 +141,58 @@ def _embed_ids(store, ids, vocab_size, c):
 
 
 def assemble_sequence(store, f1h, f2h, layout: PromptLayout, vocab, cfg: DecoderConfig,
-                      caption_ids=None):
-    """Build the embedded input sequence.
+                      captions=None):
+    """Build the embedded input sequence from features [..., N, c].
 
-    Returns (seq [T,c], loss_positions, targets). With ``caption_ids``
-    (caption word ids, <eos> included), the inputs <bos> w1..w_{M-1}
-    are appended and position prompt_len+j is scored against
-    caption_ids[j]; without, only the prompt part is returned.
+    Returns (seq [..., T, c], rows, targets, weights). Without
+    ``captions`` only the prompt part is returned (greedy decoding calls
+    it so, with one pair's [N, c] features). With one caption per sample
+    of [B, N, c] features (word ids, <eos> included), sample b's inputs
+    <bos> w1..w_{M_b-1}, padded with <pad> to the longest, follow its
+    prompt; ``rows`` index its positions prompt_len+j in seq flattened
+    to [B*T, c], scored against ``targets`` captions[b][j], each with
+    weight 1/(B*M_b), so ``decode_loss`` is the mean of sample means.
     """
     n = layout.n_tokens
-    if f1h.shape[0] != n or f2h.shape[0] != n:
-        raise T.ShapeError(f"feature token count {f1h.shape[0]} != layout span {n}")
+    if f1h.shape[-2] != n or f2h.shape[-2] != n:
+        raise T.ShapeError(f"feature token count {f1h.shape[-2]} != layout span {n}")
+    lead = f1h.shape[:-2]
     ids = layout.template_ids
     i1 = ids.index(IMG1)
     i2 = ids.index(IMG2)
     c = cfg.c_model
     v = len(vocab)
-    parts = [
-        _embed_ids(store, ids[:i1], v, c),
-        f1h,
-        _embed_ids(store, ids[i1 + 1:i2], v, c),
-        f2h,
-        _embed_ids(store, ids[i2 + 1:], v, c),
-    ]
-    positions = None
-    targets = None
-    if caption_ids is not None:
-        m = len(caption_ids)
-        if m == 0:
-            raise ValueError("empty caption")
-        if m > cfg.max_len:
-            raise ValueError(f"caption length {m} exceeds max_len {cfg.max_len}")
-        inputs = [BOS] + list(caption_ids[:-1])
-        parts.append(_embed_ids(store, inputs, v, c))
-        positions = layout.expanded_len + np.arange(m)
-        targets = np.asarray(caption_ids, dtype=np.int64)
-    return T.concat(parts, axis=0), positions, targets
+
+    def prompt(part):  # the same prompt ids for every sample
+        return _embed_ids(store, np.broadcast_to(part, lead + (len(part),)), v, c)
+
+    parts = [prompt(ids[:i1]), f1h, prompt(ids[i1 + 1:i2]), f2h, prompt(ids[i2 + 1:])]
+    if captions is None:
+        return T.concat(parts, axis=-2), None, None, None
+    lengths = np.array([len(cap) for cap in captions])
+    if lengths.min() == 0:
+        raise ValueError("empty caption")
+    if lengths.max() > cfg.max_len:
+        raise ValueError(f"caption length {lengths.max()} exceeds max_len {cfg.max_len}")
+    inputs = np.full((len(captions), lengths.max()), PAD)
+    for k, cap in enumerate(captions):
+        inputs[k, :len(cap)] = [BOS, *cap[:-1]]
+    parts.append(_embed_ids(store, inputs, v, c))
+    k, j = np.nonzero(np.arange(lengths.max()) < lengths[:, None])  # scored, sample-major
+    rows = k * (layout.expanded_len + lengths.max()) + layout.expanded_len + j
+    weights = 1.0 / (len(captions) * lengths[k])
+    return T.concat(parts, axis=-2), rows, np.concatenate(captions), weights
 
 
 def decoder_forward(store, seq, vocab_size, layout, cfg: DecoderConfig, cache=None, start=0):
-    """Causal pre-norm transformer over the embedded sequence -> logits.
+    """Causal pre-norm transformer: embedded rows [..., T, c] -> logits [..., T, V].
 
     ``seq`` holds the rows at positions start..start+T-1. Rows before
     ``start`` are seen only through ``cache``, the per-layer keys and
     values that earlier calls with the same cache appended (see
     ``nn.attention``).
     """
-    t, c = seq.shape
+    t, c = seq.shape[-2:]
     cap = layout.expanded_len + 1 + cfg.max_len
     pos = store.param("decoder.pos", (cap, c), init="embed")
     x = seq + T.embed(pos, np.arange(start, start + t))
@@ -214,13 +212,14 @@ def _decoder_block(store, name, x, c, heads, mask, cache):
     return x
 
 
-def decode_loss(logits, positions, targets):
-    """Mean negative log-likelihood of the caption tokens (one-hot CE)."""
-    if positions is None or len(positions) == 0:
+def decode_loss(logits, rows, targets, weights):
+    """Weighted NLL (one-hot CE) of ``targets`` at ``rows`` of ``logits``
+    [..., T, V] flattened to [-1, V]; see ``assemble_sequence``."""
+    if rows is None or len(rows) == 0:
         raise ValueError("decode_loss needs a non-empty caption mask")
-    logp = T.log_softmax(logits, axis=-1)
-    picked = T.take_pairs(logp, positions, targets)
-    return -T.tmean(picked)
+    logp = T.log_softmax(T.reshape(logits, (-1, logits.shape[-1])), axis=-1)
+    picked = T.take_pairs(logp, rows, targets)
+    return -T.tsum(picked * T.Tensor(weights))
 
 
 def generate(store, f1h, f2h, layout, vocab, cfg: DecoderConfig):
@@ -237,7 +236,7 @@ def generate(store, f1h, f2h, layout, vocab, cfg: DecoderConfig):
     cache = {}
     start = 0
     with T.no_grad():
-        prompt, _, _ = assemble_sequence(store, f1h, f2h, layout, vocab, cfg)
+        prompt, *_ = assemble_sequence(store, f1h, f2h, layout, vocab, cfg)
         seq = T.concat([prompt, _embed_ids(store, [BOS], v, c)], axis=0)
         while True:
             # positional: outside wrappers of decoder_forward pass *args only

@@ -120,17 +120,15 @@ def _load_model_from_checkpoint(config_path, checkpoint):
 def cmd_caption(args):
     try:
         model = _load_model_from_checkpoint(args.config, args.checkpoint)
-        records = data.load_manifest(args.manifest)
+        by_id = {r.id: r for r in data.load_manifest(args.manifest)}
+        if args.pair not in by_id:
+            return _error(f"unknown pair id {args.pair!r}", EXIT_USAGE)
+        i1, i2 = data.load_images(by_id[args.pair], Path(args.manifest).parent)
+        text, _, truncated = model.generate(i1, i2)
     except cfgmod.ConfigError as exc:
         return _error(exc, EXIT_USAGE)
-    except (OSError, ValueError) as exc:  # manifest and checkpoint shape errors
+    except (OSError, ValueError) as exc:  # manifest, checkpoint and image errors
         return _error(exc, EXIT_IO)
-    by_id = {r.id: r for r in records}
-    if args.pair not in by_id:
-        return _error(f"unknown pair id {args.pair!r}", EXIT_USAGE)
-    rec = by_id[args.pair]
-    i1, i2 = data.load_images(rec, Path(args.manifest).parent)
-    text, _, truncated = model.generate(i1, i2)
     print(text + (" [truncated]" if truncated else ""))
     return 0
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .bridge import DecoderConfig
+from .data import IterationMode
 from .encoder import EncoderConfig
 from .enhancer import EnhancerConfig
 
@@ -95,6 +96,16 @@ def load_config(path):
             cfg[key] = _coerce(key, raw)
         except ConfigError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    # values each key accepts alone but the model or the trainer rejects
+    checks = [("encoder", encoder_config), ("enhancer", enhancer_config),
+              ("decoder", decoder_config)]
+    checks += [(f"stage{n}.mode", lambda c, n=n: IterationMode(c[f"stage{n}.mode"]))
+               for n in (1, 2, 3)]
+    for name, check in checks:
+        try:
+            check(cfg)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {name}: {exc}") from None
     return cfg
 
 

@@ -58,8 +58,8 @@ class FeaturePyramid:
 
 
 def patch_embed(store, image, cfg: EncoderConfig):
-    """[H,W,3] image -> [N, d] patch tokens with learned positions."""
-    h, w, c = image.shape
+    """[..., H, W, 3] images -> [..., N, d] patch tokens with learned positions."""
+    *lead, h, w, c = image.shape
     if h != cfg.image_size or w != cfg.image_size or c != 3:
         raise T.ShapeError(
             f"image shape {image.shape} does not match config "
@@ -67,9 +67,9 @@ def patch_embed(store, image, cfg: EncoderConfig):
         )
     p = cfg.patch_size
     n_side = cfg.image_size // p
-    patches = T.reshape(image, (n_side, p, n_side, p, 3))
-    patches = T.transpose(patches, (0, 2, 1, 3, 4))
-    patches = T.reshape(patches, (cfg.num_patches, cfg.patch_dim))
+    patches = T.reshape(image, (*lead, n_side, p, n_side, p, 3))
+    patches = T.swapaxes(patches, -4, -3)
+    patches = T.reshape(patches, (*lead, cfg.num_patches, cfg.patch_dim))
     tokens = nn.linear(store, "encoder.patch", patches, cfg.patch_dim, cfg.d_model)
     pos = store.param("encoder.pos", (cfg.num_patches, cfg.d_model), init="embed")
     return tokens + pos

@@ -2,7 +2,7 @@
 
 Per feature tap, a stack of change-aware layers builds an explicit
 difference stream and injects it back into both temporal streams; a
-scalar gate per tap then mixes the enhanced taps on top of the
+scalar gate per tap and sample then mixes the enhanced taps on top of the
 penultimate-layer residual features. All taps share the same weights
 and are processed independently of each other.
 """
@@ -20,18 +20,14 @@ class EnhancerConfig:
     d_model: int = 32
     num_catl_layers: int = 2
     heads: int = 4
-    mlp_hidden: int = 0  # 0 -> 4 * d_model
-    score_hidden: int = 0  # 0 -> d_model
     enabled: bool = True
     score_concat: str = "t1t2"  # or "t1t1"
 
     def __post_init__(self):
         if self.num_catl_layers < 1:
             raise ValueError("need at least one change-aware layer")
-        if not self.mlp_hidden:
-            self.mlp_hidden = 4 * self.d_model
-        if not self.score_hidden:
-            self.score_hidden = self.d_model
+        if self.d_model % self.heads:
+            raise ValueError("d_model must be divisible by heads")
         if self.score_concat not in ("t1t2", "t1t1"):
             raise ValueError("score_concat must be 't1t2' or 't1t1'")
 
@@ -40,7 +36,7 @@ class EnhancerConfig:
 class EnhancedFeatures:
     per_tap: dict = field(default_factory=dict)  # offset -> (F1~, F2~, dF)
     fused: tuple = None  # (F1', F2')
-    scores: dict = field(default_factory=dict)  # offset -> scalar Tensor
+    scores: dict = field(default_factory=dict)  # offset -> [..., 1, 1] gate
 
 
 def _require_same_shape(f1, f2):
@@ -78,15 +74,15 @@ def change_aware_layer(store, name, f1, f2, cfg: EnhancerConfig):
     sa, _ = nn.attention(store, f"{name}.sa.attn", dn, dn, d, cfg.heads)
     df = df + sa
     # difference queries both image streams (and itself)
-    kv = T.concat([f1, f2, df], axis=0)
+    kv = T.concat([f1, f2, df], axis=-2)
     df = _sublayer_attn(store, f"{name}.ca", df, kv, d, cfg.heads)
     # MLP refinement
     df = df + nn.mlp(store, f"{name}.mlp",
                      nn.layer_norm(store, f"{name}.mlp_ln", df, d),
-                     d, cfg.mlp_hidden, d)
+                     d, 4 * d, d)
     # inject change information back into each stream (shared weights)
-    f1t = _sublayer_attn(store, f"{name}.inject", f1, T.concat([f1, df], axis=0), d, cfg.heads)
-    f2t = _sublayer_attn(store, f"{name}.inject", f2, T.concat([f2, df], axis=0), d, cfg.heads)
+    f1t = _sublayer_attn(store, f"{name}.inject", f1, T.concat([f1, df], axis=-2), d, cfg.heads)
+    f2t = _sublayer_attn(store, f"{name}.inject", f2, T.concat([f2, df], axis=-2), d, cfg.heads)
     return f1t, f2t, df
 
 
@@ -100,14 +96,13 @@ def diff_expert(store, f1, f2, cfg: EnhancerConfig):
 
 
 def tap_score(store, f1t, f2t, df, cfg: EnhancerConfig):
-    """Scalar gate in (0,1) from token-pooled concatenated features."""
+    """Gate in (0,1) from token-pooled concatenated features [..., N, d]:
+    one [..., 1, 1] score per sample, which broadcasts over its tokens."""
     d = cfg.d_model
     second = f1t if cfg.score_concat == "t1t1" else f2t
-    pooled = T.tmean(T.concat([f1t, second, df], axis=-1), axis=0)  # [3d]
-    g = T.reshape(pooled, (1, 3 * d))
-    h = T.gelu(nn.linear(store, "enhancer.score.fc1", g, 3 * d, cfg.score_hidden))
-    s = T.sigmoid(nn.linear(store, "enhancer.score.fc2", h, cfg.score_hidden, 1))
-    return T.reshape(s, ())
+    pooled = T.tmean(T.concat([f1t, second, df], axis=-1), axis=-2, keepdims=True)
+    h = T.gelu(nn.linear(store, "enhancer.score.fc1", pooled, 3 * d, d))
+    return T.sigmoid(nn.linear(store, "enhancer.score.fc2", h, d, 1))
 
 
 def adaptive_adjustment(store, per_tap, residual, cfg: EnhancerConfig):

@@ -32,7 +32,7 @@ class CaptionModel:
     def _materialize(self):
         """Create every parameter up front with a throwaway forward pass."""
         zero = np.zeros((self.enc_cfg.image_size, self.enc_cfg.image_size, 3))
-        self.forward_loss(zero, zero, [bridge.EOS])
+        self.batch_loss([(zero, zero, [bridge.EOS])])
         self.store.zero_grad()
 
     def project_features(self, img1, img2):
@@ -42,21 +42,16 @@ class CaptionModel:
         return bridge.project(self.store, f1p, f2p, self.enc_cfg.d_model,
                               self.dec_cfg.c_model)
 
-    def forward_loss(self, img1, img2, caption_ids):
-        f1h, f2h = self.project_features(img1, img2)
-        seq, positions, targets = bridge.assemble_sequence(
-            self.store, f1h, f2h, self.layout, self.vocab, self.dec_cfg, caption_ids)
+    def batch_loss(self, samples):
+        """samples: list of (img1, img2, caption_ids); the mean over samples
+        of each one's mean token loss, from one forward pass of the batch."""
+        img1, img2, captions = zip(*samples)
+        f1h, f2h = self.project_features(np.stack(img1), np.stack(img2))
+        seq, rows, targets, weights = bridge.assemble_sequence(
+            self.store, f1h, f2h, self.layout, self.vocab, self.dec_cfg, captions)
         logits = bridge.decoder_forward(self.store, seq, len(self.vocab),
                                         self.layout, self.dec_cfg)
-        return bridge.decode_loss(logits, positions, targets)
-
-    def batch_loss(self, samples):
-        """samples: list of (img1, img2, caption_ids); mean sample loss."""
-        losses = [self.forward_loss(i1, i2, ids) for i1, i2, ids in samples]
-        total = losses[0]
-        for l in losses[1:]:
-            total = total + l
-        return total * (1.0 / len(losses))
+        return bridge.decode_loss(logits, rows, targets, weights)
 
     def generate(self, img1, img2):
         """Greedy caption (text, ids, truncated); builds no autograd graph."""

@@ -90,21 +90,22 @@ def mlp(store, name, x, d_in, d_hidden, d_out):
 
 
 def _split_heads(x, heads):
-    t, d = x.shape
-    dh = d // heads
-    return T.transpose(T.reshape(x, (t, heads, dh)), (1, 0, 2))
+    """[..., T, d] -> [..., heads, T, d/heads]."""
+    *lead, t, d = x.shape
+    return T.swapaxes(T.reshape(x, (*lead, t, heads, d // heads)), -3, -2)
 
 
 def attention(store, name, q_in, kv_in, d, heads, mask=None, cache=None):
-    """Multi-head attention over token sequences [Tq,d] x [Tk,d] -> [Tq,d].
+    """Multi-head attention over token sequences [..., Tq, d] x [..., Tk, d]
+    -> [..., Tq, d]; leading batch axes are carried through.
 
     ``mask`` is an additive float array broadcastable to [Tq,Tk]
     (0 = attend, large negative = blocked). With a ``cache`` dict, this
     call's head-split keys and values are appended to ``cache[name]`` and
     the queries attend over everything cached so far, so Tk counts the
     earlier calls' rows too. Returns (output, probs) where probs has
-    shape [heads, Tq, Tk]; the returned probs are how callers audit an
-    attention site (tests wrap ``nn.attention`` to record every site).
+    shape [..., heads, Tq, Tk]; the returned probs are how callers audit
+    an attention site (tests wrap ``nn.attention`` to record every site).
     """
     if d % heads:
         raise T.ShapeError(f"attention: width {d} not divisible by {heads} heads")
@@ -115,16 +116,15 @@ def attention(store, name, q_in, kv_in, d, heads, mask=None, cache=None):
     if cache is not None:
         if name in cache:
             k0, v0 = cache[name]
-            k = T.concat([k0, k], axis=1)
-            v = T.concat([v0, v], axis=1)
+            k = T.concat([k0, k], axis=-2)
+            v = T.concat([v0, v], axis=-2)
         cache[name] = (k, v)
-    scores = T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
+    scores = T.mul(T.matmul(q, T.swapaxes(k, -1, -2)), 1.0 / math.sqrt(dh))
     if mask is not None:
         scores = scores + T.Tensor(mask)
     probs = T.softmax(scores, axis=-1)
-    ctx = T.matmul(probs, v)  # [h, Tq, dh]
-    tq = q_in.shape[0]
-    merged = T.reshape(T.transpose(ctx, (1, 0, 2)), (tq, d))
+    ctx = T.matmul(probs, v)  # [..., h, Tq, dh]
+    merged = T.reshape(T.swapaxes(ctx, -3, -2), q_in.shape[:-1] + (d,))
     return linear(store, f"{name}.o", merged, d, d), probs
 
 

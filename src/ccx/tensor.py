@@ -55,7 +55,7 @@ class Tensor:
         return self.data.size
 
     def item(self):
-        return float(self.data)
+        return self.data.item()
 
     def zero_grad(self):
         self.grad = None
@@ -372,15 +372,10 @@ def reshape(a, shape):
     return _node(a.data.reshape(shape), (a,), bwd)
 
 
-def transpose(a, axes):
+def swapaxes(a, i, j):
+    """Swap axes ``i`` and ``j``; the backward of a swap is the same swap."""
     a = as_tensor(a)
-    axes = tuple(axes)
-    inv = np.argsort(axes)
-
-    def bwd(g):
-        _accum(a, g.transpose(inv))
-
-    return _node(a.data.transpose(axes), (a,), bwd)
+    return _unary(a, np.swapaxes(a.data, i, j), lambda g: np.swapaxes(g, i, j))
 
 
 def _scatter_add(shape, index, g):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import bridge, encoder, enhancer, nn
-from . import tensor as T
 from .model import CaptionModel, build_vocabulary
 from .rng import Rng
 
@@ -57,11 +56,7 @@ def _rand(r, shape, scale=0.5):
     return r.normal(shape, std=scale)
 
 
-def _weighted_sum(x, weights):
-    return T.tsum(x * T.Tensor(weights))
-
-
-def small_configs(seed=0):
+def small_configs():
     enc = encoder.EncoderConfig(image_size=16, patch_size=4, depth=4, d_model=8,
                                 heads=2, tap_indices=(-3, -2), residual_index=-2)
     enh = enhancer.EnhancerConfig(d_model=8, num_catl_layers=2, heads=2)
@@ -70,7 +65,7 @@ def small_configs(seed=0):
 
 
 def _small_model(seed):
-    enc, enh, dec = small_configs(seed)
+    enc, enh, dec = small_configs()
     return CaptionModel(enc, enh, dec, build_vocabulary(), seed=seed)
 
 
@@ -84,7 +79,7 @@ def _model_loss_builder(model, seed):
     img1 = np.clip(0.5 + _rand(r, (s, s, 3)), 0.0, 1.0)
     img2 = np.clip(0.5 + _rand(r, (s, s, 3)), 0.0, 1.0)
     caption = model.vocab.encode("a building is built at the center") + [bridge.EOS]
-    return lambda: model.forward_loss(img1, img2, caption)
+    return lambda: model.batch_loss([(img1, img2, caption)])
 
 
 def check_module(module, seed=0):

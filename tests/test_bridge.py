@@ -35,6 +35,20 @@ def _features(seed, n=N, width=C, grad=False):
             T.Tensor(r.normal((n, width)), requires_grad=grad))
 
 
+def _assemble_one(store, f1, f2, layout, vocab, cfg, caption):
+    """``assemble_sequence`` on a batch of one pair, with the batch axis
+    dropped again: (seq [T, c], positions, targets, weights)."""
+    seq, rows, targets, weights = bridge.assemble_sequence(
+        store, T.reshape(f1, (1, *f1.shape)), T.reshape(f2, (1, *f2.shape)),
+        layout, vocab, cfg, [caption])
+    return T.reshape(seq, seq.shape[1:]), rows, targets, weights
+
+
+def _mean(positions):
+    """Weights that make ``decode_loss`` the plain mean over ``positions``."""
+    return np.full(len(positions), 1.0 / len(positions))
+
+
 class TestTokenizer:
     def test_normalization(self):
         assert bridge.word_tokens("A road is built.") == ["a", "road", "is", "built"]
@@ -119,7 +133,7 @@ class TestAssemble:
         f1, f2 = _features(6)
         caption = vocab.encode("a road is built at the center") + [EOS]
         layout = PromptLayout.build(vocab, N)
-        seq, positions, targets = bridge.assemble_sequence(
+        seq, positions, targets, _ = _assemble_one(
             store, f1, f2, layout, vocab, dec_cfg, caption)
         assert len(positions) == len(caption)
         assert seq.shape == (layout.expanded_len + len(caption), C)
@@ -129,20 +143,20 @@ class TestAssemble:
         f1, f2 = _features(7)
         layout = PromptLayout.build(vocab, N)
         with pytest.raises(ValueError, match="max_len"):
-            bridge.assemble_sequence(store, f1, f2, layout, vocab, dec_cfg,
-                                     [3] * (dec_cfg.max_len + 1))
+            _assemble_one(store, f1, f2, layout, vocab, dec_cfg,
+                          [3] * (dec_cfg.max_len + 1))
 
     def test_feature_span_mismatch(self, store, vocab, dec_cfg):
         f1, f2 = _features(8, n=N + 1)
         layout = PromptLayout.build(vocab, N)
         with pytest.raises(T.ShapeError):
-            bridge.assemble_sequence(store, f1, f2, layout, vocab, dec_cfg, [EOS])
+            _assemble_one(store, f1, f2, layout, vocab, dec_cfg, [EOS])
 
     def test_swapping_features_touches_only_spans(self, store, vocab, dec_cfg):
         f1, f2 = _features(9)
         layout = PromptLayout.build(vocab, N)
-        a, _, _ = bridge.assemble_sequence(store, f1, f2, layout, vocab, dec_cfg, [EOS])
-        b, _, _ = bridge.assemble_sequence(store, f2, f1, layout, vocab, dec_cfg, [EOS])
+        a, *_ = _assemble_one(store, f1, f2, layout, vocab, dec_cfg, [EOS])
+        b, *_ = _assemble_one(store, f2, f1, layout, vocab, dec_cfg, [EOS])
         diff = np.abs(a.data - b.data).sum(axis=-1) > 0
         in_span = np.zeros(a.shape[0], dtype=bool)
         for start, length in (layout.span1, layout.span2):
@@ -152,7 +166,7 @@ class TestAssemble:
     def test_feature_gradient_confined_to_its_span(self, store, vocab, dec_cfg):
         f1, f2 = _features(10, grad=True)
         layout = PromptLayout.build(vocab, N)
-        seq, _, _ = bridge.assemble_sequence(store, f1, f2, layout, vocab, dec_cfg, [EOS])
+        seq, *_ = _assemble_one(store, f1, f2, layout, vocab, dec_cfg, [EOS])
         up = Rng(11).normal(seq.shape)
         T.tsum(seq * T.Tensor(up)).backward()
         s1 = layout.span1
@@ -163,7 +177,7 @@ class TestDecodeLoss:
     def test_uniform_logits_is_log_vocab(self):
         v = 17
         logits = T.Tensor(np.zeros((5, v)))
-        loss = bridge.decode_loss(logits, np.array([2, 3]), np.array([4, 5]))
+        loss = bridge.decode_loss(logits, np.array([2, 3]), np.array([4, 5]), _mean([2, 3]))
         assert loss.item() == pytest.approx(np.log(v), abs=1e-12)
 
     def test_saturated_logits_near_zero_loss(self):
@@ -172,19 +186,21 @@ class TestDecodeLoss:
         positions = np.array([0, 1])
         for p, t in zip(positions, targets):
             logits[p, t] = 30.0
-        loss = bridge.decode_loss(T.Tensor(logits), positions, targets)
+        loss = bridge.decode_loss(T.Tensor(logits), positions, targets, _mean(positions))
         assert loss.item() < 1e-10
 
     def test_empty_mask_raises(self):
         with pytest.raises(ValueError, match="mask"):
-            bridge.decode_loss(T.Tensor(np.zeros((3, 5))), np.array([]), np.array([]))
+            bridge.decode_loss(T.Tensor(np.zeros((3, 5))), np.array([]), np.array([]),
+                               np.array([]))
 
     def test_matches_independent_one_hot_oracle(self):
         r = Rng(12)
         logits = r.normal((8, 11))
         positions = np.array([2, 4, 5])
         targets = np.array([1, 0, 10])
-        loss = bridge.decode_loss(T.Tensor(logits), positions, targets).item()
+        loss = bridge.decode_loss(T.Tensor(logits), positions, targets,
+                                  _mean(positions)).item()
         # independent: explicit one-hot cross-entropy per position
         acc = 0.0
         for p, t in zip(positions, targets):
@@ -200,10 +216,10 @@ class TestDecodeLoss:
         caption = vocab.encode("there is no change") + [EOS]
 
         def build():
-            seq, pos, tgt = bridge.assemble_sequence(
+            seq, pos, tgt, w = _assemble_one(
                 store, f1, f2, layout, vocab, dec_cfg, caption)
             logits = bridge.decoder_forward(store, seq, len(vocab), layout, dec_cfg)
-            return bridge.decode_loss(logits, pos, tgt)
+            return bridge.decode_loss(logits, pos, tgt, w)
 
         build()
         errs = finite_diff_check(build, {"f1": f1, "f2": f2}, max_entries=8)
@@ -215,7 +231,7 @@ class TestCausality:
         f1, f2 = _features(14)
         layout = PromptLayout.build(vocab, N)
         caption = vocab.encode("a road is built at the center") + [EOS]
-        seq, pos, _ = bridge.assemble_sequence(
+        seq, pos, _, _ = _assemble_one(
             store, f1, f2, layout, vocab, dec_cfg, caption)
         base = bridge.decoder_forward(store, seq, len(vocab), layout, dec_cfg).data
         j = pos[3]  # perturb the 4th caption input embedding
@@ -250,7 +266,7 @@ def _uncached_generate(store, f1h, f2h, layout, vocab, cfg):
     """
     out_ids, steps = [], []
     v, c = len(vocab), cfg.c_model
-    prompt, _, _ = bridge.assemble_sequence(store, f1h, f2h, layout, vocab, cfg)
+    prompt, *_ = bridge.assemble_sequence(store, f1h, f2h, layout, vocab, cfg)
     while True:
         tail = bridge._embed_ids(store, [BOS] + out_ids, v, c)
         seq = T.concat([prompt, tail], axis=0)
@@ -300,7 +316,7 @@ class TestCachedGenerate:
         f1, f2 = _features(17)
         layout = PromptLayout.build(vocab, N)
         caption = vocab.encode("a road is built at the center") + [EOS]
-        seq, _, _ = bridge.assemble_sequence(
+        seq, *_ = _assemble_one(
             store, f1, f2, layout, vocab, dec_cfg, caption)
         full = bridge.decoder_forward(store, seq, len(vocab), layout, dec_cfg).data
         cut = layout.expanded_len + 2

@@ -175,6 +175,29 @@ class TestCaption:
         assert captured.err.startswith("error: ") and "shape" in captured.err
         assert captured.err.count("\n") == 1
 
+    def _caption_with_new_images(self, trained, tmp_path, image_size, drop_image=False):
+        datadir = tmp_path / "data"
+        assert main(["gen-data", "--pairs", "1", "--seed", "8", "--out", str(datadir),
+                     "--image-size", str(image_size)]) == 0
+        manifest = datadir / "manifest.jsonl"
+        if drop_image:
+            (datadir / data.load_manifest(manifest)[0].pathA).unlink()
+        return main(["caption", "--checkpoint", str(trained["checkpoint"]),
+                     "--config", str(trained["config"]), "--manifest", str(manifest),
+                     "--pair", "pair0000"])
+
+    def test_image_size_mismatch_io_error(self, trained, tmp_path, capsys):
+        assert self._caption_with_new_images(trained, tmp_path, 32) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: image shape (32, 32, 3)")
+        assert err.count("\n") == 1
+
+    def test_missing_image_io_error(self, trained, tmp_path, capsys):
+        assert self._caption_with_new_images(trained, tmp_path, 16, drop_image=True) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("command", [["caption", "--pair", "pair0000"], ["eval-metrics"]])
     def test_bad_number_config_is_usage_error(self, trained, tmp_path, capsys, command):
         cfg = tmp_path / "bad.cfg"
@@ -185,6 +208,32 @@ class TestCaption:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}:1: encoder.depth: expected ")
         assert err.count("\n") == 1
+
+
+class TestModelConfigErrors:
+    """Values each key accepts alone but the model or the trainer rejects
+    are usage errors when the config is read, before any work starts."""
+
+    @pytest.mark.parametrize("command", ["train", "caption", "eval-metrics"])
+    @pytest.mark.parametrize("lines,key", [
+        ("decoder.c_model = 10\ndecoder.heads = 4", "decoder"),
+        ("encoder.taps = a,b", "encoder"),
+        ("enhancer.heads = 3", "enhancer"),
+        ("stage3.mode = sideways", "stage3.mode"),
+    ], ids=["decoder-heads", "encoder-taps", "enhancer-heads", "stage3-mode"])
+    def test_usage_error(self, trained, tmp_path, capsys, command, lines, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(trained["config"].read_text()
+                       + f"train.out = {tmp_path / 'run'}\n{lines}\n")
+        inputs = ["--checkpoint", str(trained["checkpoint"]),
+                  "--manifest", str(trained["manifest"])]
+        extra = {"train": [], "caption": [*inputs, "--pair", "pair0000"],
+                 "eval-metrics": inputs}[command]
+        assert main([command, "--config", str(cfg), *extra]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: {key}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
 
 
 class TestEvalMetrics:

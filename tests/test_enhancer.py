@@ -171,7 +171,7 @@ class TestAdaptiveAdjustment:
         f1p, f2p, scores = enhancer.adaptive_adjustment(store, per_tap, res, cfg)
         assert len(scores) == 4
         for s in scores.values():
-            assert s.shape == ()
+            assert s.shape == (1, 1)
             assert 0.0 < s.item() < 1.0
 
     def test_zero_score_limit_is_residual_passthrough(self, store, cfg):

@@ -241,7 +241,7 @@ def _every_op(x, w, v):
         "tsum": (T.tsum(x, axis=0), (x,)),
         "tmean": (T.tmean(x), (x,)),  # a scaled tsum: the tsum node keeps x
         "reshape": (T.reshape(x, (4, 3)), (x,)),
-        "transpose": (T.transpose(x, (1, 0)), (x,)),
+        "swapaxes": (T.swapaxes(x, 0, 1), (x,)),
         "embed": (T.embed(x, [0, 2, 0]), (x,)),
         "take_pairs": (T.take_pairs(x, [0, 2], [1, 3]), (x,)),
     }
@@ -292,7 +292,7 @@ class TestNoGrad:
 
         def grads():
             model.store.zero_grad()
-            model.forward_loss(i1, i2, caption).backward()
+            model.batch_loss([(i1, i2, caption)]).backward()
             return {n: p.tensor.grad for n, p in model.store.params.items()
                     if p.tensor.grad is not None}
 
@@ -349,7 +349,7 @@ class TestBackwardFreesGraph:
 
     def test_shared_pass_through_gives_independent_grads(self):
         a, b = _leaf(56, (6,)), _leaf(57, (2, 3))
-        T.tsum(T.reshape(a, (2, 3)) + T.transpose(T.transpose(b, (1, 0)), (1, 0))).backward()
+        T.tsum(T.reshape(a, (2, 3)) + T.swapaxes(T.swapaxes(b, 0, 1), 0, 1)).backward()
         a.grad[:] = 5.0
         np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
 
@@ -450,11 +450,11 @@ def test_backward_peak_memory_stays_near_forward_live_bytes():
     r = Rng(44)
     i1, i2 = r.uniform((16, 16, 3)), r.uniform((16, 16, 3))
     caption = model.caption_ids("a road is built")
-    model.forward_loss(i1, i2, caption).backward()  # creates the lazy parameters
+    model.batch_loss([(i1, i2, caption)]).backward()  # creates the lazy parameters
     model.store.zero_grad()
     tracemalloc.start()
     try:
-        loss = model.forward_loss(i1, i2, caption)
+        loss = model.batch_loss([(i1, i2, caption)])
         live, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         loss.backward()

@@ -8,6 +8,7 @@ from ccx import config as cfgmod
 from ccx import data, nn, trainer
 from ccx.model import CaptionModel, build_vocabulary
 from ccx.optim import AdamW
+from ccx.rng import Rng
 from ccx.verify import small_configs
 
 BASE_LR = 1e-3
@@ -184,6 +185,49 @@ class TestDescent:
         with pytest.raises(trainer.NumericAbort, match="gradient"):
             trainer.train_stage(model, scfg, records, d, max_steps=1)
         assert model.store.checksum() == before
+
+
+class TestBatchLoss:
+    CAPTIONS = ("a road", "there is no change", "a building is built at the center")
+
+    def _samples(self, model):
+        r = Rng(61)
+        s = model.enc_cfg.image_size
+        return [(r.uniform((s, s, 3)), r.uniform((s, s, 3)), model.caption_ids(c))
+                for c in self.CAPTIONS]
+
+    def test_batch_is_mean_of_its_samples(self):
+        """Padding and per-token weights: a batch of captions of three
+        lengths gives the mean loss and gradient of its one-sample batches."""
+        model = _model(seed=4)
+        samples = self._samples(model)
+        assert len({len(ids) for _, _, ids in samples}) == 3
+
+        def loss_and_grads(batch):
+            model.store.zero_grad()
+            loss = model.batch_loss(batch)
+            loss.backward()
+            return loss.item(), {n: p.tensor.grad for n, p in model.store.params.items()
+                                 if p.tensor.grad is not None}
+
+        loss, grads = loss_and_grads(samples)
+        singles = [loss_and_grads([s]) for s in samples]
+        assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=1e-12, abs=0)
+        norm = np.sqrt(sum((g * g).sum() for g in grads.values()))
+        assert all(gs.keys() == grads.keys() for _, gs in singles)
+        for name, g in grads.items():
+            mean = sum(gs[name] for _, gs in singles) / len(singles)
+            assert np.abs(g - mean).max() <= 1e-12 * norm, name
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    @pytest.mark.parametrize("bad", ["empty", "too long"])
+    def test_bad_caption_anywhere_raises(self, where, bad):
+        model = _model(seed=4)
+        samples = self._samples(model)
+        ids = [] if bad == "empty" else [3] * (model.dec_cfg.max_len + 1)
+        samples[where] = (*samples[where][:2], ids)
+        with pytest.raises(ValueError, match="empty caption|max_len"):
+            model.batch_loss(samples)
 
 
 class TestCheckpoint:
