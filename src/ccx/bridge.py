@@ -3,7 +3,9 @@ small causal transformer decoder with greedy generation.
 
 Greedy decoding runs under ``T.no_grad()`` with a per-layer key/value
 cache: the prompt goes through the decoder once, then each new token
-costs one decoder row instead of a pass over the whole prefix.
+costs one decoder row instead of a pass over the whole prefix. It
+decodes one pair's [N, c] features or a batch's [B, N, c] features,
+one decoder pass per step for all rows, by the same code.
 
 The fixed prompt carries one placeholder token per temporal image; at
 assembly time each placeholder is replaced by the N projected feature
@@ -38,7 +40,7 @@ def word_tokens(text):
     return normalize(text).split()
 
 
-class OOVError(KeyError):
+class OOVError(ValueError):
     """Raised for out-of-vocabulary words while building training data."""
 
 
@@ -57,15 +59,12 @@ class Vocabulary:
     def __len__(self):
         return len(self.tokens)
 
-    def encode(self, text, strict=True):
+    def encode(self, text):
         ids = []
         for w in word_tokens(text):
-            if w in self.index:
-                ids.append(self.index[w])
-            elif strict:
+            if w not in self.index:
                 raise OOVError(f"out-of-vocabulary word {w!r}")
-            else:
-                ids.append(PAD)
+            ids.append(self.index[w])
         return ids
 
     def decode(self, ids):
@@ -146,7 +145,7 @@ def assemble_sequence(store, f1h, f2h, layout: PromptLayout, vocab, cfg: Decoder
 
     Returns (seq [..., T, c], rows, targets, weights). Without
     ``captions`` only the prompt part is returned (greedy decoding calls
-    it so, with one pair's [N, c] features). With one caption per sample
+    it so, with [N, c] or [B, N, c] features). With one caption per sample
     of [B, N, c] features (word ids, <eos> included), sample b's inputs
     <bos> w1..w_{M_b-1}, padded with <pad> to the longest, follow its
     prompt; ``rows`` index its positions prompt_len+j in seq flattened
@@ -225,29 +224,37 @@ def decode_loss(logits, rows, targets, weights):
 def generate(store, f1h, f2h, layout, vocab, cfg: DecoderConfig):
     """Deterministic greedy decoding from <bos> until <eos> or max_len.
 
+    Features [N, c] (one pair) give one (text, token_ids, truncated),
+    features [B, N, c] a list of B of them: each step is one decoder pass
+    over every row, until each row has produced <eos> or for max_len steps.
     The prompt and <bos> go through the decoder once and fill a per-layer
     key/value cache; each later step feeds only the newest token's row.
-    No graph is built. Returns (text, token_ids, truncated).
+    No graph is built.
     """
-    out_ids = []
-    truncated = False
+    lead = f1h.shape[:-2]
     v = len(vocab)
     c = cfg.c_model
     cache = {}
     start = 0
+    tokens = np.zeros(lead + (0,), dtype=np.int64)  # every step's argmax per row
     with T.no_grad():
         prompt, *_ = assemble_sequence(store, f1h, f2h, layout, vocab, cfg)
-        seq = T.concat([prompt, _embed_ids(store, [BOS], v, c)], axis=0)
+        seq = T.concat([prompt, _embed_ids(store, np.full(lead + (1,), BOS), v, c)], axis=-2)
         while True:
             # positional: outside wrappers of decoder_forward pass *args only
             logits = decoder_forward(store, seq, v, layout, cfg, cache, start)
-            nxt = int(np.argmax(logits.data[-1]))
-            if nxt == EOS:
+            nxt = np.argmax(logits.data[..., -1:, :], axis=-1)
+            tokens = np.concatenate([tokens, nxt], axis=-1)
+            if tokens.shape[-1] >= cfg.max_len or (tokens == EOS).any(axis=-1).all():
                 break
-            out_ids.append(nxt)
-            if len(out_ids) >= cfg.max_len:
-                truncated = True
-                break
-            start += seq.shape[0]
-            seq = _embed_ids(store, [nxt], v, c)
-    return vocab.decode(out_ids), out_ids, truncated
+            start += seq.shape[-2]
+            seq = _embed_ids(store, nxt, v, c)
+
+    def result(row):
+        ends = np.flatnonzero(row == EOS)
+        ids = row[:ends[0]].tolist() if ends.size else row.tolist()
+        return vocab.decode(ids), ids, not ends.size
+
+    if not lead:
+        return result(tokens)
+    return [result(row) for row in tokens.reshape(-1, tokens.shape[-1])]

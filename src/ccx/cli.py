@@ -14,7 +14,6 @@ from pathlib import Path
 
 from . import config as cfgmod
 from . import data, metrics, trainer, verify
-from .tensor_io import FormatError
 from .trainer import NumericAbort
 
 EXIT_USAGE = 2
@@ -78,12 +77,12 @@ def _sha256(path):
 
 
 def cmd_gen_data(args):
-    if args.pairs < 1:
-        return _error("--pairs must be >= 1", EXIT_USAGE)
     try:
         manifest = data.generate_dataset(
             args.pairs, args.seed, args.out, image_size=args.image_size,
             weight=args.weight, duplicate_captions=args.overfit)
+    except ValueError as exc:  # an argument out of range, checked before writing
+        return _error(exc, EXIT_USAGE)
     except OSError as exc:
         return _error(exc, EXIT_IO)
     records = data.load_manifest(manifest)
@@ -102,9 +101,9 @@ def cmd_train(args):
     try:
         ckpt, _ = trainer.run_pipeline(cfg, stages=stages, resume_from=args.resume,
                                        log=print)
-    except (NumericAbort, FormatError) as exc:  # FormatError: non-finite values to save
+    except NumericAbort as exc:
         return _error(exc, EXIT_NUMERIC)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # manifest, caption and checkpoint errors
         return _error(exc, EXIT_IO)
     print(f"checkpoint: {ckpt}")
     return 0
@@ -154,13 +153,13 @@ def cmd_eval_metrics(args):
                 model, records, Path(args.manifest).parent, split=args.split)
         else:
             return _error("need --hyp/--ref or --checkpoint/--config/--manifest", EXIT_USAGE)
+        if args.json_out:
+            Path(args.json_out).write_text(report.to_json() + "\n")
     except (cfgmod.ConfigError, metrics.CorpusTooSmall) as exc:
         return _error(exc, EXIT_USAGE)
     except (OSError, ValueError, data.ManifestError) as exc:
         return _error(exc, EXIT_IO)
     print(report.format())
-    if args.json_out:
-        Path(args.json_out).write_text(report.to_json() + "\n")
     return 0
 
 

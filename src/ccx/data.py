@@ -194,6 +194,10 @@ def generate_dataset(n_pairs, seed, out_dir, image_size=32, split="train",
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
+    if weight < 1:
+        raise ValueError("weight must be >= 1")
+    if image_size < 11:  # _sample_object keeps object centres 5 pixels inside
+        raise ValueError("image_size must be >= 11")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     root = Rng(seed)

@@ -54,11 +54,18 @@ class CaptionModel:
         return bridge.decode_loss(logits, rows, targets, weights)
 
     def generate(self, img1, img2):
-        """Greedy caption (text, ids, truncated); builds no autograd graph."""
+        """Greedy caption (text, ids, truncated) of one pair [H, W, 3], or a
+        list of them for a batch stacked as in ``batch_loss``, [B, H, W, 3];
+        builds no autograd graph."""
         with T.no_grad():
             f1h, f2h = self.project_features(img1, img2)
             return bridge.generate(self.store, f1h, f2h, self.layout,
                                    self.vocab, self.dec_cfg)
 
     def caption_ids(self, caption_text):
-        return self.vocab.encode(caption_text) + [bridge.EOS]
+        """Word ids plus <eos>; raises ``OOVError`` or, past max_len, ValueError."""
+        ids = self.vocab.encode(caption_text) + [bridge.EOS]
+        if len(ids) > self.dec_cfg.max_len:
+            raise ValueError(f"caption {caption_text!r} has {len(ids)} tokens with <eos>, "
+                             f"over decoder.max_len {self.dec_cfg.max_len}")
+        return ids

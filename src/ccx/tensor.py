@@ -242,12 +242,6 @@ def sigmoid(a):
     return _unary(a, s, lambda g: g * s * (1.0 - s))
 
 
-def tanh(a):
-    a = as_tensor(a)
-    t = np.tanh(a.data)
-    return _unary(a, t, lambda g: g * (1.0 - t * t))
-
-
 def gelu(a):
     """GELU via the tanh approximation 0.5x(1+tanh(sqrt(2/pi)(x+0.044715x^3)))."""
     a = as_tensor(a)
@@ -259,19 +253,6 @@ def gelu(a):
     du = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_C * x2)
     deriv = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
     return _unary(a, out, lambda g: g * deriv)
-
-
-def exp(a):
-    a = as_tensor(a)
-    e = np.exp(a.data)
-    return _unary(a, e, lambda g: g * e)
-
-
-def log(a):
-    a = as_tensor(a)
-    if np.any(a.data <= 0):
-        raise ValueError("log of non-positive value")
-    return _unary(a, np.log(a.data), lambda g: g / a.data)
 
 
 def softmax(a, axis=-1):
@@ -349,9 +330,7 @@ def tsum(a, axis=None, keepdims=False):
     a = as_tensor(a)
 
     def da(g):
-        if axis is None:
-            return np.full_like(a.data, float(g)) if np.ndim(g) == 0 else g * np.ones_like(a.data)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
         return np.broadcast_to(gg, a.data.shape).copy()
 
     return _unary(a, a.data.sum(axis=axis, keepdims=keepdims), da)

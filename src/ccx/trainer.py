@@ -20,11 +20,13 @@ from . import config as cfgmod
 from . import data, metrics, nn
 from .model import CaptionModel, build_vocabulary
 from .optim import AdamW
-from .tensor_io import read_cct1, write_cct1
+from .tensor_io import FormatError, read_cct1, write_cct1
+
+EVAL_CHUNK = 8  # pairs that evaluate_checkpoint captions together
 
 
 class NumericAbort(RuntimeError):
-    """Training hit a non-finite loss or gradient norm."""
+    """Training hit a non-finite loss, gradient norm or checkpoint value."""
 
 
 @dataclass
@@ -72,15 +74,13 @@ def train_stage(model: CaptionModel, stage_cfg: StageConfig, records, data_dir,
     lr_map = stage_cfg.lr_map()
     report = StageReport(stage=stage_cfg.stage)
     images = {rec.id: data.load_images(rec, data_dir) for rec in records}
+    caption_ids = {cap: model.caption_ids(cap) for rec in records for cap in rec.captions}
     for epoch in range(stage_cfg.epochs):
         mode = data.IterationMode(stage_cfg.mode, seed)
         stream = data.iterate(records, mode, epoch)
         losses = []
         for batch in _batches(stream, stage_cfg.batch_size):
-            samples = []
-            for rec, cap in batch:
-                i1, i2 = images[rec.id]
-                samples.append((i1, i2, model.caption_ids(cap)))
+            samples = [(*images[rec.id], caption_ids[cap]) for rec, cap in batch]
             model.store.zero_grad()
             loss = model.batch_loss(samples)
             val = loss.item()
@@ -190,8 +190,11 @@ def run_pipeline(cfg, stages=(1, 2, 3), resume_from=None, log=None):
             for epoch, loss in enumerate(report.epoch_losses):
                 log(f"stage={stage} epoch={epoch} loss={loss:.6f}")
         ckpt = out / f"stage{stage}"
-        save_checkpoint(model, optimizer, ckpt,
-                        meta={"stage": stage, "fingerprint": cfgmod.fingerprint(cfg)})
+        try:
+            save_checkpoint(model, optimizer, ckpt,
+                            meta={"stage": stage, "fingerprint": cfgmod.fingerprint(cfg)})
+        except FormatError as exc:  # write_cct1 refused a non-finite value
+            raise NumericAbort(str(exc)) from exc
         # round-trip so later stages start from exactly the stored state
         load_checkpoint(model, optimizer, ckpt)
     return ckpt, reports
@@ -202,8 +205,9 @@ def evaluate_checkpoint(model: CaptionModel, records, data_dir,
     records = [rec for rec in records if split is None or rec.split == split]
     metrics.require_entries(len(records), "the manifest" if split is None else f"split {split!r}")
     items = []
-    for rec in records:
-        i1, i2 = data.load_images(rec, data_dir)
-        hyp, _, _ = model.generate(i1, i2)
-        items.append((rec.id, hyp, rec.captions))
+    for chunk in _batches(records, EVAL_CHUNK):
+        pairs = [data.load_images(rec, data_dir) for rec in chunk]
+        img1, img2 = map(np.stack, zip(*pairs))
+        for rec, (hyp, _, _) in zip(chunk, model.generate(img1, img2)):
+            items.append((rec.id, hyp, rec.captions))
     return metrics.evaluate(metrics.make_corpus(items))

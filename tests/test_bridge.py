@@ -63,10 +63,6 @@ class TestTokenizer:
         with pytest.raises(bridge.OOVError):
             v.encode("a zebra")
 
-    def test_oov_lenient_maps_to_pad(self):
-        v = Vocabulary(["a"])
-        assert v.encode("a zebra", strict=False) == [v.index["a"], PAD]
-
     def test_specials_fixed_indices(self, vocab):
         assert vocab.tokens[:5] == list(bridge.SPECIALS)
         assert (PAD, BOS, EOS) == (0, 1, 2)
@@ -327,3 +323,50 @@ class TestCachedGenerate:
                                       layout, dec_cfg, cache, cut).data
         np.testing.assert_allclose(head, full[:cut], rtol=0, atol=1e-12)
         np.testing.assert_allclose(tail, full[cut:], rtol=0, atol=1e-12)
+
+
+def _stacked(*pairs):
+    """Features of several pairs stacked to [B, N, c] each."""
+    return tuple(T.Tensor(np.stack([pair[k].data for pair in pairs])) for k in (0, 1))
+
+
+class TestBatchedGenerate:
+    def test_rows_match_their_own_decoding(self, vocab, monkeypatch):
+        """One row ends on <eos>, the other at max_len; each gives what
+        decoding it alone gives, from one decoder pass per step."""
+        cfg = DecoderConfig(c_model=C, depth=2, heads=2, max_len=10)
+        store = ParamStore(Rng(5))
+        layout = PromptLayout.build(vocab, N)
+        pairs = [_features(20), _features(15)]
+        want = []
+        for f1, f2 in pairs:
+            ids, trunc, _ = _uncached_generate(store, f1, f2, layout, vocab, cfg)
+            want.append((vocab.decode(ids), ids, trunc))
+        assert [trunc for *_, trunc in want] == [False, True]
+
+        shapes = []
+        real = bridge.decoder_forward
+
+        def recording(store, seq, *args):
+            shapes.append(seq.shape)
+            return real(store, seq, *args)
+
+        monkeypatch.setattr(bridge, "decoder_forward", recording)
+        assert bridge.generate(store, *_stacked(*pairs), layout, vocab, cfg) == want
+        # every row in each pass, until the truncated row's max_len steps
+        assert shapes == [(2, layout.expanded_len + 1, C)] + [(2, 1, C)] * (cfg.max_len - 1)
+
+    @pytest.mark.parametrize("max_len", [1, 10])
+    def test_batch_of_one_equals_one_pair(self, store, vocab, max_len):
+        cfg = DecoderConfig(c_model=C, depth=2, heads=2, max_len=max_len)
+        layout = PromptLayout.build(vocab, N)
+        pair = _features(20)
+        one = bridge.generate(store, *pair, layout, vocab, cfg)
+        assert bridge.generate(store, *_stacked(pair), layout, vocab, cfg) == [one]
+
+    def test_max_len_one_batch(self, store, vocab):
+        cfg = DecoderConfig(c_model=C, depth=2, heads=2, max_len=1)
+        layout = PromptLayout.build(vocab, N)
+        pairs = [_features(s) for s in (20, 15, 16)]
+        want = [bridge.generate(store, *pair, layout, vocab, cfg) for pair in pairs]
+        assert bridge.generate(store, *_stacked(*pairs), layout, vocab, cfg) == want

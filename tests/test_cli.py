@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,16 @@ class TestGenData:
         assert main(["gen-data", "--pairs", "0",
                      "--out", str(tmp_path / "x")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("args", [["--weight", "0"], ["--image-size", "0"],
+                                      ["--image-size", "-5"], ["--image-size", "4"]],
+                             ids=["weight-0", "size-0", "size-minus-5", "size-4"])
+    def test_bad_argument_usage_error_before_writing(self, tmp_path, capsys, args):
+        assert main(["gen-data", "--pairs", "2", "--out", str(tmp_path / "x"),
+                     *args]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
 
 class TestConfigInit:
     def test_toy_profile_round_trips(self, tmp_path, capsys):
@@ -132,6 +143,70 @@ class TestTrain:
             assert (ck / "state").exists()
             assert (ck / "vocab.txt").exists()
             assert any((ck / "params").iterdir())
+
+
+def _manifest_copy(trained, path, edit=lambda obj: obj, extra=""):
+    """The CLI dataset's manifest, written to ``path`` with absolute image
+    paths, each record's JSON object passed through ``edit``, then ``extra``."""
+    lines = []
+    for line in trained["manifest"].read_text().splitlines():
+        obj = json.loads(line)
+        for key in ("pathA", "pathB"):
+            obj[key] = str(trained["manifest"].parent / obj[key])
+        lines.append(json.dumps(edit(obj)))
+    path.write_text("\n".join(lines) + "\n" + extra)
+    return path
+
+
+def _set_last_caption(text):
+    def edit(obj):
+        if obj["id"] == "pair0002":
+            obj["captions"][0] = text
+        return obj
+    return edit
+
+
+class TestTrainInputErrors:
+    """Bad training input is one error line and exit 3, before any step."""
+
+    def _train(self, trained, tmp_path, monkeypatch, capsys, lines, resume=None):
+        steps = []
+        monkeypatch.setattr(AdamW, "step", lambda self, lr_map: steps.append(lr_map))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(trained["config"].read_text()
+                       + f"train.out = {tmp_path / 'run'}\n{lines}")
+        code = main(["train", "--config", str(cfg),
+                     *(["--resume", str(resume)] if resume else [])])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not steps
+        return err
+
+    @pytest.mark.parametrize("edit,extra,message", [
+        (lambda obj: obj, "{not json\n", ":4: malformed JSON"),
+        (_set_last_caption("a zebra appeared"), "", "out-of-vocabulary word 'zebra'"),
+        (_set_last_caption("a road is built " * 4), "", "17 tokens with <eos>, "
+                                                         "over decoder.max_len 12"),
+    ], ids=["malformed-line", "oov-word", "caption-too-long"])
+    def test_bad_manifest(self, trained, tmp_path, monkeypatch, capsys, edit, extra, message):
+        manifest = _manifest_copy(trained, tmp_path / "manifest.jsonl", edit, extra)
+        err = self._train(trained, tmp_path, monkeypatch, capsys,
+                          f"data.manifest = {manifest}\n")
+        assert message in err
+
+    def test_resume_shape_mismatch(self, trained, tmp_path, monkeypatch, capsys):
+        err = self._train(trained, tmp_path, monkeypatch, capsys, "decoder.c_model = 16\n",
+                          resume=trained["checkpoint"])
+        assert err.startswith("error: checkpoint shape mismatch")
+
+    def test_resume_malformed_cct1(self, trained, tmp_path, monkeypatch, capsys):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(trained["checkpoint"], ckpt)
+        bad = sorted((ckpt / "params").iterdir())[0]
+        bad.write_bytes(bad.read_bytes()[:-4])
+        err = self._train(trained, tmp_path, monkeypatch, capsys, "", resume=ckpt)
+        assert err.startswith(f"error: {bad}: payload size")
 
 
 class TestCaption:
@@ -247,6 +322,15 @@ class TestEvalMetrics:
         gold = json.loads((DATA / "golden_metrics.json").read_text())
         for key, val in gold.items():
             assert got[key] == pytest.approx(val, abs=1e-9), key
+
+    def test_json_out_missing_directory_io_error(self, tmp_path, capsys):
+        h, r = _golden_files(tmp_path)
+        out = tmp_path / "missing" / "report.json"
+        assert main(["eval-metrics", "--hyp", str(h), "--ref", str(r),
+                     "--json-out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert err.count("\n") == 1
 
     def test_identical_files_score_perfect(self, tmp_path, capsys):
         h = tmp_path / "h.txt"

@@ -84,6 +84,14 @@ class TestGenerate:
         with pytest.raises(ValueError):
             data.generate_dataset(0, seed=1, out_dir=tmp_path)
 
+    @pytest.mark.parametrize("kwargs", [{"weight": 0}, {"image_size": 10},
+                                        {"image_size": 0}, {"image_size": -5}],
+                             ids=["weight-0", "size-10", "size-0", "size-minus-5"])
+    def test_bad_argument_rejected_before_writing(self, tmp_path, kwargs):
+        with pytest.raises(ValueError):
+            data.generate_dataset(2, seed=1, out_dir=tmp_path / "out", **kwargs)
+        assert not (tmp_path / "out").exists()
+
     def test_weight_and_split_round_trip(self, tmp_path):
         manifest = data.generate_dataset(3, seed=5, out_dir=tmp_path,
                                          split="val", weight=3)

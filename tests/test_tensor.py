@@ -71,19 +71,11 @@ class TestElementwise:
         with pytest.raises(T.ShapeError):
             T.add(T.Tensor(np.ones(3)), T.Tensor(np.ones(4)))
 
-    def test_log_nonpositive(self):
-        with pytest.raises(ValueError, match="non-positive"):
-            T.log(T.Tensor([1.0, 0.0]))
-
-    @pytest.mark.parametrize("op", [T.sigmoid, T.gelu, T.exp, T.tanh])
+    @pytest.mark.parametrize("op", [T.sigmoid, T.gelu])
     def test_gradcheck_unary(self, op):
         x = T.Tensor(Rng(4).normal((2, 5)), requires_grad=True)
         w = Rng(5).normal((2, 5))
         fd_check(lambda: T.tsum(op(x) * T.Tensor(w)), {"x": x})
-
-    def test_gradcheck_log(self):
-        x = T.Tensor(1.0 + Rng(6).uniform((2, 5)), requires_grad=True)
-        fd_check(lambda: T.tsum(T.log(x)), {"x": x})
 
 
 class TestSoftmax:
@@ -222,7 +214,7 @@ class TestAdamW:
 
 
 def _every_op(x, w, v):
-    """Every public op on x [3,4] (positive), w [4,2] and v [4] ->
+    """Every public op on x [3,4], w [4,2] and v [4] ->
     {name: (result, the inputs a recorded result keeps as parents)}."""
     return {
         "add": (x + v, (x, v)),
@@ -230,10 +222,7 @@ def _every_op(x, w, v):
         "mul": (x * v, (x, v)),
         "matmul": (T.matmul(x, w), (x, w)),
         "sigmoid": (T.sigmoid(x), (x,)),
-        "tanh": (T.tanh(x), (x,)),
         "gelu": (T.gelu(x), (x,)),
-        "exp": (T.exp(x), (x,)),
-        "log": (T.log(x), (x,)),
         "softmax": (T.softmax(x), (x,)),
         "log_softmax": (T.log_softmax(x), (x,)),
         "layer_norm": (T.layer_norm(x, v, v), (x, v, v)),
@@ -257,7 +246,7 @@ class TestNoGrad:
             leaf = T.Tensor(np.zeros(2), requires_grad=True)
         constants = _every_op(*(T.Tensor(d) for d in data))
         for outs in (unrecorded, constants):
-            assert len(outs) == 19
+            assert len(outs) == 16
             for name, (y, _) in outs.items():
                 assert y._parents == () and y._backward is None, name
                 assert not y.requires_grad, name
@@ -325,7 +314,7 @@ class TestBackwardFreesGraph:
 
     def test_second_backward_raises(self):
         a = _leaf(52, (3,))
-        y = T.tsum(T.tanh(a) * 2.0)
+        y = T.tsum(T.sigmoid(a) * 2.0)
         y.backward()
         first = a.grad.copy()
         with pytest.raises(RuntimeError, match="freed"):
@@ -334,7 +323,7 @@ class TestBackwardFreesGraph:
 
     def test_graph_built_on_freed_node_raises(self):
         a = _leaf(53, (3,))
-        h = T.exp(a)
+        h = T.sigmoid(a)
         T.tsum(h).backward()
         with pytest.raises(RuntimeError, match="freed"):
             T.tsum(h * 3.0).backward()
@@ -360,8 +349,9 @@ class TestBackwardFreesGraph:
 
     def test_leaf_used_in_two_branches(self):
         x, w = _leaf(59, (2, 3)), _leaf(60, (2, 3))
-        T.tsum(T.tanh(x) + x * w).backward()
-        np.testing.assert_allclose(x.grad, 1.0 - np.tanh(x.data) ** 2 + w.data, rtol=1e-14)
+        T.tsum(T.sigmoid(x) + x * w).backward()
+        s = 1.0 / (1.0 + np.exp(-x.data))
+        np.testing.assert_allclose(x.grad, s * (1.0 - s) + w.data, rtol=1e-14)
         np.testing.assert_array_equal(w.grad, x.data)
         before = x.grad.copy()
         w.grad[:] = 0.0

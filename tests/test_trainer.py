@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ccx import config as cfgmod
-from ccx import data, nn, trainer
+from ccx import data, metrics, nn, trainer
 from ccx.model import CaptionModel, build_vocabulary
 from ccx.optim import AdamW
 from ccx.rng import Rng
@@ -318,6 +318,20 @@ class TestPipeline:
         for v in rep.bleu + [rep.meteor, rep.rouge_l]:
             assert 0.0 <= v <= 100.0
         assert 0.0 <= rep.cider_d <= 1000.0
+
+    @pytest.mark.parametrize("n", [9, 11])  # last chunk of 1 and of 3 pairs
+    def test_evaluate_in_chunks_equals_per_record_loop(self, tmp_path, n):
+        assert n % trainer.EVAL_CHUNK
+        manifest = data.generate_dataset(n, seed=3, out_dir=tmp_path, image_size=16)
+        records = data.load_manifest(manifest)
+        model = _model(seed=2)
+        items = []
+        for rec in records:
+            hyp, _, _ = model.generate(*data.load_images(rec, tmp_path))
+            items.append((rec.id, hyp, rec.captions))
+        assert len({hyp for _, hyp, _ in items}) > 1  # pairs caption differently
+        want = metrics.evaluate(metrics.make_corpus(items))
+        assert trainer.evaluate_checkpoint(model, records, tmp_path) == want
 
     def test_evaluate_empty_split_rejected(self, dataset):
         d, records = dataset
