@@ -103,9 +103,11 @@ def attention(store, name, q_in, kv_in, d, heads, mask=None, cache=None):
     (0 = attend, large negative = blocked). With a ``cache`` dict, this
     call's head-split keys and values are appended to ``cache[name]`` and
     the queries attend over everything cached so far, so Tk counts the
-    earlier calls' rows too. Returns (output, probs) where probs has
-    shape [..., heads, Tq, Tk]; the returned probs are how callers audit
-    an attention site (tests wrap ``nn.attention`` to record every site).
+    earlier calls' rows too. Scores, mask, softmax and context are one
+    ``T.attend`` node whose parents are the head-split q, k and v. Returns
+    (output, probs) where probs is a constant tensor (no graph) of shape
+    [..., heads, Tq, Tk]; the returned probs are how callers audit an
+    attention site (tests wrap ``nn.attention`` to record every site).
     """
     if d % heads:
         raise T.ShapeError(f"attention: width {d} not divisible by {heads} heads")
@@ -119,13 +121,9 @@ def attention(store, name, q_in, kv_in, d, heads, mask=None, cache=None):
             k = T.concat([k0, k], axis=-2)
             v = T.concat([v0, v], axis=-2)
         cache[name] = (k, v)
-    scores = T.mul(T.matmul(q, T.swapaxes(k, -1, -2)), 1.0 / math.sqrt(dh))
-    if mask is not None:
-        scores = scores + T.Tensor(mask)
-    probs = T.softmax(scores, axis=-1)
-    ctx = T.matmul(probs, v)  # [..., h, Tq, dh]
+    ctx, probs = T.attend(q, k, v, 1.0 / math.sqrt(dh), mask)  # ctx [..., h, Tq, dh]
     merged = T.reshape(T.swapaxes(ctx, -3, -2), q_in.shape[:-1] + (d,))
-    return linear(store, f"{name}.o", merged, d, d), probs
+    return linear(store, f"{name}.o", merged, d, d), T.Tensor(probs)
 
 
 def encoder_block(store, name, x, d, heads, mlp_hidden):

@@ -250,24 +250,61 @@ def gelu(a):
     u = _SQRT_2_OVER_PI * (x + _GELU_C * (x2 * x))
     t = np.tanh(u)
     out = 0.5 * x * (1.0 + t)
-    du = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_C * x2)
-    deriv = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
-    return _unary(a, out, lambda g: g * deriv)
+
+    def da(g):  # the derivative is formed only when backward runs
+        x = a.data
+        x2 = x * x
+        du = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_C * x2)
+        return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+
+    return _unary(a, out, da)
 
 
-def softmax(a, axis=-1):
-    a = as_tensor(a)
-    if not -a.data.ndim <= axis < a.data.ndim:
-        raise ShapeError(f"softmax axis {axis} out of bounds for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+def attend(q, k, v, scale, mask=None):
+    """Scaled dot-product attention as one node: softmax(scale·q kᵀ + mask) v.
+
+    ``q`` is [..., Tq, d], ``k`` [..., Tk, d] and ``v`` [..., Tk, dv]; their
+    leading axes broadcast. ``mask`` is an additive float array that
+    broadcasts to the scores [..., Tq, Tk] without enlarging them (0 =
+    attend, large negative = blocked). The scores are formed in one
+    buffer, then scaled, masked and normalized in place, so only the
+    probabilities P are kept. Returns ``(P @ v, P)``: the context as a
+    tensor whose parents are ``(q, k, v)``, and P as a plain array. The
+    backward uses the softmax identity dS = P ∘ (dP − rowsum(dP ∘ P)), as
+    in FlashAttention, and recomputes nothing.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if min(q.data.ndim, k.data.ndim, v.data.ndim) < 2:
+        raise ShapeError(f"attend needs rank>=2 operands, got {q.shape}, {k.shape}, {v.shape}")
+    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+        raise ShapeError(f"attend: q {q.shape}, k {k.shape} and v {v.shape} do not align")
+    try:
+        scores = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+        scores += (q.shape[-2], k.shape[-2])
+        fits = mask is None or np.broadcast_shapes(scores, np.shape(mask)) == scores
+    except ValueError:
+        fits = False
+    if not fits:  # the mask is added in place, so it may not enlarge the scores
+        raise ShapeError(f"attend: q {q.shape}, k {k.shape}, v {v.shape} and mask "
+                         f"{None if mask is None else np.shape(mask)} do not broadcast")
+    p = q.data @ np.swapaxes(k.data, -1, -2)
+    p *= scale
+    if mask is not None:
+        p += mask
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        _accum(a, y * (g - dot))
+        _accum(v, _unbroadcast(np.swapaxes(p, -1, -2) @ g, v.shape))
+        ds = g @ np.swapaxes(v.data, -1, -2)  # dP, then dS in place
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        _accum(q, _unbroadcast(ds @ k.data, q.shape))
+        _accum(k, _unbroadcast(np.swapaxes(ds, -1, -2) @ q.data, k.shape))
 
-    return _node(y, (a,), bwd)
+    return _node(p @ v.data, (q, k, v), bwd), p
 
 
 def log_softmax(a, axis=-1):

@@ -168,10 +168,13 @@ def stage_config(cfg, stage):
 
 
 def run_pipeline(cfg, stages=(1, 2, 3), resume_from=None, log=None):
-    """Run the staged schedule; returns (final checkpoint dir, reports)."""
+    """Run the staged schedule on the manifest's ``split == "train"``
+    records; returns (final checkpoint dir, reports)."""
     out = Path(cfg["train.out"])
     out.mkdir(parents=True, exist_ok=True)
-    records = data.load_manifest(cfg["data.manifest"])
+    records = [rec for rec in data.load_manifest(cfg["data.manifest"]) if rec.split == "train"]
+    if not records:
+        raise data.ManifestError(f"{cfg['data.manifest']}: no records with split 'train'")
     data_dir = Path(cfg["data.manifest"]).parent
     model = build_model(cfg)
     optimizer = AdamW(list(model.store.params.values()),
@@ -207,6 +210,13 @@ def evaluate_checkpoint(model: CaptionModel, records, data_dir,
     items = []
     for chunk in _batches(records, EVAL_CHUNK):
         pairs = [data.load_images(rec, data_dir) for rec in chunk]
+        shape = pairs[0][0].shape
+        for rec, pair in zip(chunk, pairs):
+            for img in pair:
+                if img.shape != shape:
+                    raise ValueError(f"record {rec.id}: image shape {img.shape} differs from "
+                                     f"{shape} of record {chunk[0].id}; pairs are captioned "
+                                     f"{EVAL_CHUNK} at a time and need one shape")
         img1, img2 = map(np.stack, zip(*pairs))
         for rec, (hyp, _, _) in zip(chunk, model.generate(img1, img2)):
             items.append((rec.id, hyp, rec.captions))

@@ -188,7 +188,8 @@ class TestTrainInputErrors:
         (_set_last_caption("a zebra appeared"), "", "out-of-vocabulary word 'zebra'"),
         (_set_last_caption("a road is built " * 4), "", "17 tokens with <eos>, "
                                                          "over decoder.max_len 12"),
-    ], ids=["malformed-line", "oov-word", "caption-too-long"])
+        (lambda obj: {**obj, "split": "test"}, "", "no records with split 'train'"),
+    ], ids=["malformed-line", "oov-word", "caption-too-long", "no-train-records"])
     def test_bad_manifest(self, trained, tmp_path, monkeypatch, capsys, edit, extra, message):
         manifest = _manifest_copy(trained, tmp_path / "manifest.jsonl", edit, extra)
         err = self._train(trained, tmp_path, monkeypatch, capsys,
@@ -382,6 +383,26 @@ class TestEvalMetrics:
         err = capsys.readouterr().err
         what = "the manifest" if split is None else "split 'test'"
         assert err == f"error: scoring needs at least 2 entries; {what} has 1\n"
+
+    def test_mixed_image_sizes_io_error(self, trained, tmp_path, capsys):
+        big = tmp_path / "big"
+        assert main(["gen-data", "--pairs", "1", "--seed", "6", "--out", str(big),
+                     "--image-size", "32"]) == 0
+        records = data.load_manifest(trained["manifest"])[:2] + data.load_manifest(
+            big / "manifest.jsonl")
+        records[2].id = "big0000"
+        for rec, base in zip(records, [trained["manifest"].parent] * 2 + [big]):
+            rec.pathA, rec.pathB = str(base / rec.pathA), str(base / rec.pathB)
+        manifest = tmp_path / "manifest.jsonl"
+        data.write_manifest(records, manifest)
+        capsys.readouterr()
+        assert main(["eval-metrics", "--checkpoint", str(trained["checkpoint"]),
+                     "--config", str(trained["config"]),
+                     "--manifest", str(manifest)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: record big0000: image shape (32, 32, 3) differs from "
+                              f"(16, 16, 3) of record {records[0].id}")
+        assert err.count("\n") == 1
 
     def test_missing_inputs_usage_error(self, capsys):
         assert main(["eval-metrics"]) == EXIT_USAGE

@@ -78,29 +78,130 @@ class TestElementwise:
         fd_check(lambda: T.tsum(op(x) * T.Tensor(w)), {"x": x})
 
 
+def _softmax_rows(z):
+    """T.attend's probabilities for logits z [rows, cols]: q = z and k = I,
+    so the scores are z itself."""
+    z = np.atleast_2d(z)
+    cols = z.shape[-1]
+    return T.attend(T.Tensor(z), T.Tensor(np.eye(cols)), T.Tensor(np.eye(cols)), 1.0)
+
+
 class TestSoftmax:
+    """The softmax inside ``T.attend``."""
+
     def test_uniform(self):
-        out = T.softmax(T.Tensor([0.0, 0.0, 0.0]), axis=0)
-        np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-15)
+        ctx, p = _softmax_rows([0.0, 0.0, 0.0])
+        np.testing.assert_allclose(p, [[1 / 3] * 3], atol=1e-15)
+        np.testing.assert_allclose(ctx.data, [[1 / 3] * 3], atol=1e-15)
 
     def test_no_overflow(self):
-        out = T.softmax(T.Tensor([1000.0, 0.0]), axis=0)
-        np.testing.assert_allclose(out.data, [1.0, 0.0], atol=1e-300)
+        _, p = _softmax_rows([1000.0, 0.0])
+        np.testing.assert_allclose(p, [[1.0, 0.0]], atol=1e-300)
 
     def test_jacobian_vector_vs_fd(self):
-        x = T.Tensor(Rng(7).normal((3, 6)), requires_grad=True)
-        v = Rng(8).normal((3, 6))
+        q = T.Tensor(Rng(7).normal((3, 6)), requires_grad=True)
+        k = T.Tensor(Rng(6).normal((4, 6)), requires_grad=True)
+        v = T.Tensor(Rng(5).normal((4, 2)), requires_grad=True)
+        w = Rng(8).normal((3, 2))
         errs = finite_diff_check(
-            lambda: T.tsum(T.softmax(x, axis=-1) * T.Tensor(v)), {"x": x},
-            max_entries=18)
+            lambda: T.tsum(T.attend(q, k, v, 0.5)[0] * T.Tensor(w)),
+            {"q": q, "k": k, "v": v}, max_entries=18)
         assert max(errs.values()) < 1e-6
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 8))
     def test_rows_sum_to_one(self, seed, rows, cols):
-        x = T.Tensor(4.0 * Rng(seed).normal((rows, cols)))
-        s = T.softmax(x, axis=-1).data.sum(axis=-1)
-        np.testing.assert_allclose(s, np.ones(rows), atol=1e-12)
+        _, p = _softmax_rows(4.0 * Rng(seed).normal((rows, cols)))
+        np.testing.assert_allclose(p.sum(axis=-1), np.ones(rows), atol=1e-12)
+
+
+def _causal(tq, tk):
+    """The decoder's mask: query row i sees keys up to tk - tq + i."""
+    return np.triu(np.full((tq, tk), -1e30), k=tk - tq + 1)
+
+
+class TestAttend:
+    def _check(self, qshape, kshape, mask, seed):
+        r = Rng(seed)
+        q = T.Tensor(r.normal(qshape), requires_grad=True)
+        k = T.Tensor(r.normal(kshape), requires_grad=True)
+        v = T.Tensor(r.normal(kshape[:-1] + (3,)), requires_grad=True)
+        ctx, _ = T.attend(q, k, v, 0.7, mask)
+        w = r.normal(ctx.shape)
+        fd_check(lambda: T.tsum(T.attend(q, k, v, 0.7, mask)[0] * T.Tensor(w)),
+                 {"q": q, "k": k, "v": v}, tol=1e-6, max_entries=24)
+
+    def test_gradcheck_causal_mask(self):
+        self._check((2, 4, 4), (2, 4, 4), _causal(4, 4), 80)
+
+    def test_gradcheck_broadcast_leading_axes(self):
+        self._check((2, 2, 3, 4), (2, 5, 4), None, 81)
+
+    def test_gradcheck_kv_cache_longer_keys(self):
+        self._check((2, 2, 4), (2, 5, 4), _causal(2, 5), 82)
+
+    def test_matches_unfused_reference(self):
+        r = Rng(83)
+        q, k, v = r.normal((2, 3, 4)), r.normal((2, 5, 4)), r.normal((2, 5, 3))
+        s = 0.5 * (q @ np.swapaxes(k, -1, -2)) + _causal(3, 5)
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        ctx, p = T.attend(T.Tensor(q), T.Tensor(k), T.Tensor(v), 0.5, _causal(3, 5))
+        np.testing.assert_allclose(p, want, rtol=1e-14, atol=1e-300)
+        np.testing.assert_allclose(ctx.data, want @ v, rtol=1e-13)
+
+    def test_row_blocked_but_one(self):
+        r = Rng(84)
+        q = T.Tensor(r.normal((3, 4)), requires_grad=True)
+        k = T.Tensor(r.normal((5, 4)), requires_grad=True)
+        v = T.Tensor(r.normal((5, 2)), requires_grad=True)
+        mask = np.zeros((3, 5))
+        mask[1] = -1e30
+        mask[1, 3] = 0.0  # row 1 may only see key 3
+        ctx, p = T.attend(q, k, v, 0.5, mask)
+        np.testing.assert_array_equal(p[1], [0.0, 0.0, 0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(ctx.data[1], v.data[3])
+        T.tsum(ctx * T.Tensor(r.normal((3, 2)))).backward()
+        # a one-hot row has a zero softmax Jacobian: no gradient reaches its query
+        np.testing.assert_array_equal(q.grad[1], np.zeros(4))
+        assert np.all(np.isfinite(q.grad)) and np.all(np.isfinite(k.grad))
+
+    def test_shape_errors(self):
+        def ones(*shape):
+            return T.Tensor(np.ones(shape))
+
+        with pytest.raises(T.ShapeError, match="do not align"):
+            T.attend(ones(2, 3), ones(4, 2), ones(4, 3), 1.0)
+        with pytest.raises(T.ShapeError, match="do not broadcast"):
+            T.attend(ones(2, 2, 3), ones(3, 4, 3), ones(3, 4, 3), 1.0)
+        with pytest.raises(T.ShapeError, match="do not broadcast"):
+            T.attend(ones(2, 3), ones(4, 3), ones(4, 3), 1.0, np.zeros((2, 2, 4)))
+
+    def test_attention_records_one_node_on_head_split_qkv(self):
+        from ccx import nn
+
+        store = nn.ParamStore(Rng(85))
+        x = T.Tensor(Rng(86).normal((2, 5, 8)), requires_grad=True)
+        out, probs = nn.attention(store, "decoder.attn", x, x, 8, 2, mask=_causal(5, 5))
+        assert probs.shape == (2, 2, 5, 5)
+        assert probs._parents == () and not probs.requires_grad
+        graph, stack = set(), [out]
+        nodes = []
+        while stack:
+            t = stack.pop()
+            if id(t) not in graph:
+                graph.add(id(t))
+                nodes.append(t)
+                stack.extend(t._parents)
+        (ctx,) = [t for t in nodes if len(t._parents) == 3]
+        q, k, v = ctx._parents
+        for name, split in zip("qkv", (q, k, v)):
+            # head split: swapaxes(reshape(linear)), the linear ending in + its bias
+            linear_out = split._parents[0]._parents[0]
+            assert linear_out._parents[1] is store.params[f"decoder.attn.{name}.b"].tensor
+            assert [t for t in nodes if split in t._parents] == [ctx]
+        # output = linear(merge(ctx)): add <- matmul <- reshape <- swapaxes <- ctx
+        assert out._parents[0]._parents[0]._parents[0]._parents[0] is ctx
 
 
 class TestLayerNorm:
@@ -223,7 +324,7 @@ def _every_op(x, w, v):
         "matmul": (T.matmul(x, w), (x, w)),
         "sigmoid": (T.sigmoid(x), (x,)),
         "gelu": (T.gelu(x), (x,)),
-        "softmax": (T.softmax(x), (x,)),
+        "attend": (T.attend(x, x, x, 0.5)[0], (x, x, x)),
         "log_softmax": (T.log_softmax(x), (x,)),
         "layer_norm": (T.layer_norm(x, v, v), (x, v, v)),
         "concat": (T.concat([x, x], axis=0), (x, x)),

@@ -312,6 +312,23 @@ class TestPipeline:
         assert [r.stage for r in reports] == [2, 3]
         assert _ckpt_digest(ck_full) != _ckpt_digest(ck_part)
 
+    def test_trains_only_on_train_split(self, tmp_path, monkeypatch):
+        manifest = data.generate_dataset(4, seed=3, out_dir=tmp_path, image_size=16)
+        records = data.load_manifest(manifest)
+        for rec in records[1::2]:
+            rec.split = "test"
+        data.write_manifest(records, manifest)
+        seen = []
+        real = data.iterate
+
+        def iterate(recs, mode, epoch):
+            seen.append([rec.id for rec in recs])
+            return real(recs, mode, epoch)
+
+        monkeypatch.setattr(data, "iterate", iterate)
+        trainer.run_pipeline(_small_cfg(manifest, tmp_path / "run"), stages=(1,))
+        assert seen == [[records[0].id, records[2].id]]
+
     def test_evaluate_untrained_model(self, dataset):
         d, records = dataset
         rep = trainer.evaluate_checkpoint(_model(seed=8), records, d)
