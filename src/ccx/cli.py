@@ -109,16 +109,9 @@ def cmd_train(args):
     return 0
 
 
-def _load_model_from_checkpoint(config_path, checkpoint):
-    cfg = cfgmod.load_config(config_path)
-    model = trainer.build_model(cfg)
-    trainer.load_params(model, checkpoint)
-    return model
-
-
 def cmd_caption(args):
     try:
-        model = _load_model_from_checkpoint(args.config, args.checkpoint)
+        model = trainer.load_model(cfgmod.load_config(args.config), args.checkpoint)
         by_id = {r.id: r for r in data.load_manifest(args.manifest)}
         if args.pair not in by_id:
             return _error(f"unknown pair id {args.pair!r}", EXIT_USAGE)
@@ -147,7 +140,7 @@ def cmd_eval_metrics(args):
             corpus = _corpus_from_files(args.hyp, args.ref)
             report = metrics.evaluate(corpus)
         elif args.checkpoint and args.manifest and args.config:
-            model = _load_model_from_checkpoint(args.config, args.checkpoint)
+            model = trainer.load_model(cfgmod.load_config(args.config), args.checkpoint)
             records = data.load_manifest(args.manifest)
             report = trainer.evaluate_checkpoint(
                 model, records, Path(args.manifest).parent, split=args.split)

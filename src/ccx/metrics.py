@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
 from .bridge import word_tokens
@@ -72,8 +72,26 @@ def make_corpus(items):
     return corpus
 
 
-def _ngrams(tokens, n):
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _counts(tokens, max_n):
+    """A sentence's n-gram counts for n = 1..max_n."""
+    return [Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+            for n in range(1, max_n + 1)]
+
+
+def _corpus_mean(corpus, entry_score):
+    """100 x the mean of ``entry_score(entry)`` over the corpus.
+
+    This is where ROUGE-L and METEOR refuse an empty corpus. CIDEr-D
+    needs 2 entries for its document frequencies and checks that before
+    its first pass; BLEU divides corpus totals rather than averaging
+    entries and checks for itself.
+    """
+    if not corpus:
+        raise ValueError("empty corpus")
+    total = 0.0
+    for e in corpus:
+        total += entry_score(e)
+    return 100.0 * total / len(corpus)
 
 
 def bleu(corpus, max_n=4):
@@ -89,62 +107,48 @@ def bleu(corpus, max_n=4):
         hyp_len += len(h)
         # closest reference length; ties go to the shorter reference
         ref_len += min((abs(len(r) - len(h)), len(r)) for r in e.references)[1]
-        for n in range(1, max_n + 1):
-            counts = _ngrams(h, n)
-            if not counts:
-                continue
-            clip = Counter()
-            for r in e.references:
-                rc = _ngrams(r, n)
-                for g in counts:
-                    clip[g] = max(clip[g], rc.get(g, 0))
-            match[n - 1] += sum(min(c, clip[g]) for g, c in counts.items())
-            total[n - 1] += sum(counts.values())
+        refs = [_counts(r, max_n) for r in e.references]
+        for n, counts in enumerate(_counts(h, max_n)):
+            match[n] += sum(min(c, max(rc[n][g] for rc in refs)) for g, c in counts.items())
+            total[n] += sum(counts.values())
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / max(hyp_len, 1))
     scores = []
     for n in range(1, max_n + 1):
+        if 0 in match[:n]:  # no match at some order; zero totals have zero matches
+            scores.append(0.0)
+            continue
         logsum = 0.0
-        ok = True
         for k in range(n):
-            if total[k] == 0 or match[k] == 0:
-                ok = False
-                break
             logsum += math.log(match[k] / total[k])
-        scores.append(100.0 * bp * math.exp(logsum / n) if ok else 0.0)
+        scores.append(100.0 * bp * math.exp(logsum / n))
     return scores
 
 
-def _lcs_len(a, b):
-    prev = [0] * (len(b) + 1)
-    for x in a:
+def _rouge_f(hyp, ref, beta):
+    """LCS F-score of one hypothesis against one reference."""
+    prev = [0] * (len(ref) + 1)
+    for x in hyp:
         cur = [0]
-        for j, y in enumerate(b, 1):
+        for j, y in enumerate(ref, 1):
             cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[-1]))
         prev = cur
-    return prev[-1]
+    lcs = prev[-1]
+    if lcs == 0:
+        return 0.0
+    p = lcs / len(hyp)
+    rr = lcs / len(ref)
+    return (1 + beta**2) * rr * p / (rr + beta**2 * p)
 
 
 def rouge_l(corpus, beta=1.2):
     """Mean over entries of the best-reference LCS F-score, x100."""
-    if not corpus:
-        raise ValueError("empty corpus")
-    total = 0.0
-    for e in corpus:
-        best = 0.0
-        if e.hypothesis:
-            for r in e.references:
-                lcs = _lcs_len(e.hypothesis, r)
-                if lcs == 0:
-                    continue
-                p = lcs / len(e.hypothesis)
-                rr = lcs / len(r)
-                best = max(best, (1 + beta**2) * rr * p / (rr + beta**2 * p))
-        total += best
-    return 100.0 * total / len(corpus)
+    return _corpus_mean(corpus, lambda e: max(
+        _rouge_f(e.hypothesis, r, beta) for r in e.references))
 
 
-def _meteor_align(hyp, ref):
-    """Greedy leftmost exact alignment; returns (matches, chunks)."""
+def _meteor_score(hyp, ref, alpha, beta, gamma):
+    """Greedy leftmost exact alignment of one hypothesis to one reference,
+    scored as the F-mean times (1 - the fragmentation penalty)."""
     used = [False] * len(ref)
     align = []
     for i, w in enumerate(hyp):
@@ -154,32 +158,22 @@ def _meteor_align(hyp, ref):
                 align.append((i, j))
                 break
     if not align:
-        return 0, 0
+        return 0.0
+    m = len(align)
     chunks = 1
     for (i0, j0), (i1, j1) in zip(align, align[1:]):
         if i1 != i0 + 1 or j1 != j0 + 1:
             chunks += 1
-    return len(align), chunks
+    p = m / len(hyp)
+    rr = m / len(ref)
+    f = p * rr / (alpha * p + (1 - alpha) * rr)
+    return f * (1.0 - gamma * (chunks / m) ** beta)
 
 
 def meteor(corpus, alpha=0.9, beta=3.0, gamma=0.5):
     """Exact-match METEOR, best reference per entry, corpus mean x100."""
-    if not corpus:
-        raise ValueError("empty corpus")
-    total = 0.0
-    for e in corpus:
-        best = 0.0
-        for r in e.references:
-            m, chunks = _meteor_align(e.hypothesis, r)
-            if m == 0:
-                continue
-            p = m / len(e.hypothesis)
-            rr = m / len(r)
-            f = p * rr / (alpha * p + (1 - alpha) * rr)
-            penalty = gamma * (chunks / m) ** beta
-            best = max(best, f * (1.0 - penalty))
-        total += best
-    return 100.0 * total / len(corpus)
+    return _corpus_mean(corpus, lambda e: max(
+        _meteor_score(e.hypothesis, r, alpha, beta, gamma) for r in e.references))
 
 
 def cider_d(corpus, max_n=4, sigma=6.0):
@@ -191,39 +185,35 @@ def cider_d(corpus, max_n=4, sigma=6.0):
     """
     require_entries(len(corpus))
     # document frequencies over reference sets
-    df = [defaultdict(int) for _ in range(max_n)]
+    df = [Counter() for _ in range(max_n)]
     for e in corpus:
-        for n in range(1, max_n + 1):
-            seen = set()
-            for r in e.references:
-                seen.update(_ngrams(r, n))
-            for g in seen:
-                df[n - 1][g] += 1
+        refs = [_counts(r, max_n) for r in e.references]
+        for n in range(max_n):
+            df[n].update(set().union(*(rc[n] for rc in refs)))
     log_docs = math.log(len(corpus))
 
-    def tfidf(counts, n):
-        return {g: c * (log_docs - math.log(max(df[n - 1][g], 1))) for g, c in counts.items()}
+    def vectors(tokens):
+        """Per n: the sentence's tf-idf vector and its norm."""
+        out = []
+        for n, counts in enumerate(_counts(tokens, max_n)):
+            vec = {g: c * (log_docs - math.log(max(df[n][g], 1))) for g, c in counts.items()}
+            out.append((vec, math.sqrt(sum(v * v for v in vec.values()))))
+        return out
 
-    def norm(vec):
-        return math.sqrt(sum(v * v for v in vec.values()))
-
-    total = 0.0
-    for e in corpus:
-        hyp_counts = [_ngrams(e.hypothesis, n) for n in range(1, max_n + 1)]
+    def entry(e):
+        hyp = vectors(e.hypothesis)
         per_n = [0.0] * max_n
         for r in e.references:
             delta = len(e.hypothesis) - len(r)
             penalty = math.exp(-(delta**2) / (2.0 * sigma**2))
-            for n in range(1, max_n + 1):
-                hv = tfidf(hyp_counts[n - 1], n)
-                rv = tfidf(_ngrams(r, n), n)
+            for n, ((hv, h_norm), (rv, r_norm)) in enumerate(zip(hyp, vectors(r))):
                 num = sum(min(hv[g], rv[g]) * rv[g] for g in hv if g in rv)
-                denom = norm(hv) * norm(rv)
+                denom = h_norm * r_norm
                 if denom > 0:
-                    per_n[n - 1] += penalty * num / denom
-        entry = 10.0 * sum(s / len(e.references) for s in per_n) / max_n
-        total += entry
-    return 100.0 * total / len(corpus)
+                    per_n[n] += penalty * num / denom
+        return 10.0 * sum(s / len(e.references) for s in per_n) / max_n
+
+    return _corpus_mean(corpus, entry)
 
 
 def s_star_m(bleu4, meteor_score, rouge_score, cider_score):

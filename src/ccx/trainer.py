@@ -9,7 +9,10 @@ resumed run is bit-identical to an unbroken one.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -109,17 +112,50 @@ def train_stage(model: CaptionModel, stage_cfg: StageConfig, records, data_dir,
 # ---------------------------------------------------------------- checkpoints
 
 def save_checkpoint(model: CaptionModel, optimizer: AdamW, path, meta=None):
+    """Write the checkpoint directory ``path`` as a whole or not at all.
+
+    The files go into the hidden sibling ``.<name>.spare``, which takes
+    the place of ``path`` only when complete; on an error the spare is
+    removed and the earlier checkpoint stays as it was. The checkpoint it
+    replaces (moved aside first: ``os.replace`` cannot overwrite a
+    non-empty directory) becomes the next save's spare, whose files that
+    save overwrites and prunes: on ext4, creating a checkpoint's files
+    anew took about three times as long as overwriting them.
+    """
     path = Path(path)
-    (path / "params").mkdir(parents=True, exist_ok=True)
-    (path / "optim").mkdir(parents=True, exist_ok=True)
+    spare, old = (path.with_name(f".{path.name}.{s}") for s in ("spare", "old"))
+    arrays = {}
     for p in model.store.params.values():
-        write_cct1(path / "params" / f"{p.name}.cct1", p.tensor.data)
-        write_cct1(path / "optim" / f"{p.name}.m.cct1", optimizer.m[p.name])
-        write_cct1(path / "optim" / f"{p.name}.v.cct1", optimizer.v[p.name])
-    state = {"t": optimizer.t}
-    state.update(meta or {})
-    (path / "state").write_text(json.dumps(state, sort_keys=True) + "\n")
-    model.vocab.save(path / "vocab.txt")
+        arrays[f"params/{p.name}.cct1"] = p.tensor.data
+        arrays[f"optim/{p.name}.m.cct1"] = optimizer.m[p.name]
+        arrays[f"optim/{p.name}.v.cct1"] = optimizer.v[p.name]
+    try:
+        (spare / "params").mkdir(parents=True, exist_ok=True)
+        (spare / "optim").mkdir(exist_ok=True)
+        for file in list(spare.rglob("*")):  # files of an earlier config
+            name = file.relative_to(spare).as_posix()
+            if file.is_file() and name not in arrays and name not in ("state", "vocab.txt"):
+                file.unlink()
+        for name, array in arrays.items():
+            try:
+                write_cct1(spare / name, array)
+            except FormatError as exc:  # name the file asked for, not the spare
+                raise FormatError(str(exc).replace(str(spare), str(path))) from None
+        state = {"t": optimizer.t}
+        state.update(meta or {})
+        (spare / "state").write_text(json.dumps(state, sort_keys=True) + "\n")
+        model.vocab.save(spare / "vocab.txt")
+        if path.exists():
+            shutil.rmtree(old, ignore_errors=True)  # left by a save killed mid-swap
+            os.replace(path, old)
+        os.replace(spare, path)
+    except BaseException:
+        if old.exists() and not path.exists():
+            os.replace(old, path)
+        shutil.rmtree(spare, ignore_errors=True)
+        raise
+    with contextlib.suppress(OSError):  # the save is done; keeping a spare is not needed
+        os.replace(old, spare)
 
 
 def load_params(model: CaptionModel, path):
@@ -153,6 +189,30 @@ def build_model(cfg, seed=None):
         seed=cfg["train.seed"] if seed is None else seed)
 
 
+def _model_config(fingerprint):
+    """The encoder, enhancer and decoder entries of a config fingerprint;
+    the rest (output directory, manifest) may differ between runs."""
+    return dict(part.split("=", 1) for part in fingerprint.split("|")
+                if part.startswith(("encoder.", "enhancer.", "decoder.")))
+
+
+def load_model(cfg, path):
+    """The model ``cfg`` describes, with the parameters of checkpoint
+    ``path``, which must have been trained under the same model config
+    (a checkpoint that stores no fingerprint is taken as it is)."""
+    path = Path(path)
+    model = build_model(cfg)
+    load_params(model, path)
+    stored = json.loads((path / "state").read_text()).get("fingerprint")
+    if stored is not None:
+        have, want = _model_config(stored), _model_config(cfgmod.fingerprint(cfg))
+        diff = [f"{k}={have.get(k)} (config: {want.get(k)})"
+                for k in sorted(have.keys() | want.keys()) if have.get(k) != want.get(k)]
+        if diff:
+            raise ValueError(f"{path}: checkpoint was trained with {', '.join(diff)}")
+    return model
+
+
 def stage_config(cfg, stage):
     s = f"stage{stage}"
     return StageConfig(
@@ -176,11 +236,10 @@ def run_pipeline(cfg, stages=(1, 2, 3), resume_from=None, log=None):
     if not records:
         raise data.ManifestError(f"{cfg['data.manifest']}: no records with split 'train'")
     data_dir = Path(cfg["data.manifest"]).parent
-    model = build_model(cfg)
+    # AdamW state is not restored: every stage starts it afresh
+    model = build_model(cfg) if resume_from is None else load_model(cfg, resume_from)
     optimizer = AdamW(list(model.store.params.values()),
                       weight_decay=cfg["train.weight_decay"])
-    if resume_from is not None:
-        load_checkpoint(model, optimizer, resume_from)
     reports = []
     ckpt = Path(resume_from) if resume_from else None
     for stage in stages:
@@ -198,8 +257,8 @@ def run_pipeline(cfg, stages=(1, 2, 3), resume_from=None, log=None):
                             meta={"stage": stage, "fingerprint": cfgmod.fingerprint(cfg)})
         except FormatError as exc:  # write_cct1 refused a non-finite value
             raise NumericAbort(str(exc)) from exc
-        # round-trip so later stages start from exactly the stored state
-        load_checkpoint(model, optimizer, ckpt)
+        # round-trip so later stages start from exactly the stored parameters
+        load_params(model, ckpt)
     return ckpt, reports
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -136,6 +137,7 @@ class TestTrain:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "non-finite" in captured.err
         assert captured.err.count("\n") == 1
+        assert f"{tmp_path / 'run' / 'stage1' / 'optim'}{os.sep}" in captured.err
 
     def test_full_run_writes_stage_checkpoints(self, trained):
         for stage in (1, 2, 3):
@@ -201,6 +203,12 @@ class TestTrainInputErrors:
                           resume=trained["checkpoint"])
         assert err.startswith("error: checkpoint shape mismatch")
 
+    def test_resume_model_config_mismatch(self, trained, tmp_path, monkeypatch, capsys):
+        err = self._train(trained, tmp_path, monkeypatch, capsys, "decoder.heads = 4\n",
+                          resume=trained["checkpoint"])
+        assert err == (f"error: {trained['checkpoint']}: checkpoint was trained "
+                       "with decoder.heads=2 (config: 4)\n")
+
     def test_resume_malformed_cct1(self, trained, tmp_path, monkeypatch, capsys):
         ckpt = tmp_path / "ckpt"
         shutil.copytree(trained["checkpoint"], ckpt)
@@ -250,6 +258,32 @@ class TestCaption:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "shape" in captured.err
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["caption", "--pair", "pair0000"], ["eval-metrics"]])
+    def test_model_config_mismatch_io_error(self, trained, tmp_path, capsys, command):
+        cfg = tmp_path / "heads.cfg"
+        cfg.write_text(trained["config"].read_text() + "decoder.heads = 4\n")
+        assert main([command[0], "--checkpoint", str(trained["checkpoint"]),
+                     "--config", str(cfg), "--manifest", str(trained["manifest"]),
+                     *command[1:]]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err == (f"error: {trained['checkpoint']}: checkpoint was trained "
+                       "with decoder.heads=2 (config: 4)\n")
+
+    def test_checkpoint_without_fingerprint_loads(self, trained, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(trained["checkpoint"], ckpt)
+        state = json.loads((ckpt / "state").read_text())
+        del state["fingerprint"]
+        (ckpt / "state").write_text(json.dumps(state))
+        outs = []
+        for path in (trained["checkpoint"], ckpt):
+            assert main(["caption", "--checkpoint", str(path),
+                         "--config", str(trained["config"]),
+                         "--manifest", str(trained["manifest"]),
+                         "--pair", "pair0000"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
     def _caption_with_new_images(self, trained, tmp_path, image_size, drop_image=False):
         datadir = tmp_path / "data"

@@ -199,7 +199,7 @@ class TestEvaluate:
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(
-        st.tuples(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6),
+        st.tuples(st.lists(st.sampled_from("abcdef"), min_size=0, max_size=6),
                   st.lists(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6),
                            min_size=1, max_size=3)),
         min_size=2, max_size=5))

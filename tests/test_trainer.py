@@ -1,4 +1,5 @@
 import hashlib
+import os
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from ccx import data, metrics, nn, trainer
 from ccx.model import CaptionModel, build_vocabulary
 from ccx.optim import AdamW
 from ccx.rng import Rng
+from ccx.tensor_io import FormatError
 from ccx.verify import small_configs
 
 BASE_LR = 1e-3
@@ -39,6 +41,10 @@ def _small_cfg(manifest, out):
         "data.manifest": str(manifest), "train.out": str(out),
     })
     return cfg
+
+
+def _files(path):
+    return {p.relative_to(path): p.read_bytes() for p in Path(path).rglob("*") if p.is_file()}
 
 
 def _ckpt_digest(path):
@@ -288,6 +294,63 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="shape"):
             trainer.load_checkpoint(other, opt2, tmp_path / "ck")
 
+    def test_save_drops_stale_files(self, tmp_path):
+        model = _model(seed=6)
+        opt = AdamW(list(model.store.params.values()))
+        ck = tmp_path / "ck"
+        trainer.save_checkpoint(model, opt, ck)
+        for _ in range(2):  # the second save rewrites the first one's files
+            (ck / "params" / "decoder.retired.cct1").write_bytes(b"stale")
+            trainer.save_checkpoint(model, opt, ck)
+            assert not (ck / "params" / "decoder.retired.cct1").exists()
+        trainer.save_checkpoint(model, opt, tmp_path / "fresh")
+        assert _files(ck) == _files(tmp_path / "fresh")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".ck.spare", "ck", "fresh"]
+
+    def test_refused_write_keeps_old_checkpoint(self, tmp_path):
+        model = _model(seed=6)
+        opt = AdamW(list(model.store.params.values()))
+        ck = tmp_path / "ck"
+        for _ in range(2):  # the second save leaves a spare behind
+            trainer.save_checkpoint(model, opt, ck)
+        before = _files(ck)
+        for p in model.store.params.values():
+            p.tensor.data += 1.0
+        bad = next(iter(opt.v))
+        opt.v[bad][...] = 1e39  # beyond float32: write_cct1 refuses it
+        for path in (ck, tmp_path / "fresh"):
+            with pytest.raises(FormatError, match="non-finite") as err:
+                trainer.save_checkpoint(model, opt, path)
+            assert str(err.value).startswith(f"{path / 'optim' / bad}.v.cct1: ")
+        assert _files(ck) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+
+    @pytest.mark.parametrize("failing", ["swap", "keeping the spare"])
+    def test_swap_failures(self, tmp_path, monkeypatch, failing):
+        model = _model(seed=6)
+        opt = AdamW(list(model.store.params.values()))
+        ck = tmp_path / "ck"
+        trainer.save_checkpoint(model, opt, ck)
+        before = _files(ck)
+        for p in model.store.params.values():
+            p.tensor.data += 1.0
+        trainer.save_checkpoint(model, opt, tmp_path / "want")
+        real = os.replace
+
+        def replace(src, dst):
+            if Path(src if failing == "swap" else dst).name == ".ck.spare":
+                raise OSError("replace failed")
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        if failing == "swap":  # the save fails and the earlier checkpoint stays
+            with pytest.raises(OSError, match="replace failed"):
+                trainer.save_checkpoint(model, opt, ck)
+            assert _files(ck) == before
+        else:  # the new checkpoint is in place, so the save succeeds
+            trainer.save_checkpoint(model, opt, ck)
+            assert _files(ck) == _files(tmp_path / "want")
+
 
 class TestPipeline:
     def test_identical_runs_bit_identical(self, tmp_path, dataset):
@@ -311,6 +374,17 @@ class TestPipeline:
         ck_part, reports = trainer.run_pipeline(part_cfg, stages=(2, 3))
         assert [r.stage for r in reports] == [2, 3]
         assert _ckpt_digest(ck_full) != _ckpt_digest(ck_part)
+
+    def test_stage_boundaries_read_parameters_only(self, tmp_path, dataset, monkeypatch):
+        d, _ = dataset
+        reads = []
+        real = trainer.read_cct1
+        monkeypatch.setattr(trainer, "read_cct1", lambda path: reads.append(path) or real(path))
+        ck, _ = trainer.run_pipeline(_small_cfg(d / "manifest.jsonl", tmp_path / "run"),
+                                     stages=(1, 2))
+        trainer.run_pipeline(_small_cfg(d / "manifest.jsonl", tmp_path / "resumed"),
+                             stages=(3,), resume_from=ck)
+        assert reads and all(Path(path).parent.name == "params" for path in reads)
 
     def test_trains_only_on_train_split(self, tmp_path, monkeypatch):
         manifest = data.generate_dataset(4, seed=3, out_dir=tmp_path, image_size=16)
