@@ -187,9 +187,9 @@ def decoder_forward(store, seq, vocab_size, layout, cfg: DecoderConfig, cache=No
     """Causal pre-norm transformer: embedded rows [..., T, c] -> logits [..., T, V].
 
     ``seq`` holds the rows at positions start..start+T-1. Rows before
-    ``start`` are seen only through ``cache``, the per-layer keys and
-    values that earlier calls with the same cache appended (see
-    ``nn.attention``).
+    ``start`` are seen only through ``cache``, the per-layer key and value
+    buffers that earlier calls with the same cache filled (see
+    ``nn.attention``); a cache is used under ``T.no_grad()`` only.
     """
     t, c = seq.shape[-2:]
     cap = layout.expanded_len + 1 + cfg.max_len

@@ -30,10 +30,11 @@ class CaptionModel:
         self._materialize()
 
     def _materialize(self):
-        """Create every parameter up front with a throwaway forward pass."""
+        """Create every parameter up front with a throwaway forward pass,
+        which records no graph."""
         zero = np.zeros((self.enc_cfg.image_size, self.enc_cfg.image_size, 3))
-        self.batch_loss([(zero, zero, [bridge.EOS])])
-        self.store.zero_grad()
+        with T.no_grad():
+            self.batch_loss([(zero, zero, [bridge.EOS])])
 
     def project_features(self, img1, img2):
         pyr = encoder.encode_pair(self.store, img1, img2, self.enc_cfg)

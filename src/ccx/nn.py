@@ -75,7 +75,7 @@ class ParamStore:
 def linear(store, name, x, d_in, d_out):
     w = store.param(f"{name}.w", (d_in, d_out), init="linear", fan_in=d_in)
     b = store.param(f"{name}.b", (d_out,), init="zeros")
-    return T.matmul(x, w) + b
+    return T.linear(x, w, b)
 
 
 def layer_norm(store, name, x, d):
@@ -89,41 +89,55 @@ def mlp(store, name, x, d_in, d_hidden, d_out):
     return linear(store, f"{name}.fc2", h, d_hidden, d_out)
 
 
-def _split_heads(x, heads):
-    """[..., T, d] -> [..., heads, T, d/heads]."""
-    *lead, t, d = x.shape
-    return T.swapaxes(T.reshape(x, (*lead, t, heads, d // heads)), -3, -2)
-
-
 def attention(store, name, q_in, kv_in, d, heads, mask=None, cache=None):
     """Multi-head attention over token sequences [..., Tq, d] x [..., Tk, d]
     -> [..., Tq, d]; leading batch axes are carried through.
 
     ``mask`` is an additive float array broadcastable to [Tq,Tk]
     (0 = attend, large negative = blocked). With a ``cache`` dict, this
-    call's head-split keys and values are appended to ``cache[name]`` and
-    the queries attend over everything cached so far, so Tk counts the
-    earlier calls' rows too. Scores, mask, softmax and context are one
-    ``T.attend`` node whose parents are the head-split q, k and v. Returns
-    (output, probs) where probs is a constant tensor (no graph) of shape
-    [..., heads, Tq, Tk]; the returned probs are how callers audit an
-    attention site (tests wrap ``nn.attention`` to record every site).
+    call's keys and values are written into ``cache[name]``'s buffers (see
+    ``_cached_rows``) and the queries attend over every row cached so far,
+    so Tk counts the earlier calls' rows too; a cache carries no gradient,
+    so it is refused while a graph is being recorded. The call records
+    five nodes: the q, k, v and output linears and one ``T.attend`` node
+    that splits and merges the heads itself. Returns (output, probs) where
+    probs is a constant tensor (no graph) of shape [..., heads, Tq, Tk];
+    the returned probs are how callers audit an attention site (tests wrap
+    ``nn.attention`` to record every site).
     """
-    if d % heads:
-        raise T.ShapeError(f"attention: width {d} not divisible by {heads} heads")
-    dh = d // heads
-    q = _split_heads(linear(store, f"{name}.q", q_in, d, d), heads)
-    k = _split_heads(linear(store, f"{name}.k", kv_in, d, d), heads)
-    v = _split_heads(linear(store, f"{name}.v", kv_in, d, d), heads)
+    q = linear(store, f"{name}.q", q_in, d, d)
+    k = linear(store, f"{name}.k", kv_in, d, d)
+    v = linear(store, f"{name}.v", kv_in, d, d)
     if cache is not None:
-        if name in cache:
-            k0, v0 = cache[name]
-            k = T.concat([k0, k], axis=-2)
-            v = T.concat([v0, v], axis=-2)
-        cache[name] = (k, v)
-    ctx, probs = T.attend(q, k, v, 1.0 / math.sqrt(dh), mask)  # ctx [..., h, Tq, dh]
-    merged = T.reshape(T.swapaxes(ctx, -3, -2), q_in.shape[:-1] + (d,))
-    return linear(store, f"{name}.o", merged, d, d), T.Tensor(probs)
+        k, v = _cached_rows(cache, name, k, v)
+    ctx, probs = T.attend(q, k, v, heads, 1.0 / math.sqrt(d // heads), mask)
+    return linear(store, f"{name}.o", ctx, d, d), T.Tensor(probs)
+
+
+def _cached_rows(cache, name, k, v):
+    """Write the rows of ``k`` and ``v`` [..., T, d] after the ``n`` rows
+    that ``cache[name] = (key buffer, value buffer, n)`` already holds, and
+    return every filled row of each buffer as a constant view. A buffer
+    that would overflow is replaced by one of twice the rows needed, so
+    the first call (a prompt) leaves room for about as many rows again.
+    """
+    if k.requires_grad or v.requires_grad:
+        raise ValueError("attention: a key/value cache carries no gradient; "
+                         "decode under T.no_grad()")
+    kbuf, vbuf, n = cache.get(name, (None, None, 0))
+    end = n + k.shape[-2]
+    if kbuf is None or end > kbuf.shape[-2]:
+        grown = []
+        for buf, new in ((kbuf, k), (vbuf, v)):
+            rows = np.empty(new.shape[:-2] + (2 * end, new.shape[-1]))
+            if n:
+                rows[..., :n, :] = buf[..., :n, :]
+            grown.append(rows)
+        kbuf, vbuf = grown
+    kbuf[..., n:end, :] = k.data
+    vbuf[..., n:end, :] = v.data
+    cache[name] = (kbuf, vbuf, end)
+    return T.Tensor(kbuf[..., :end, :]), T.Tensor(vbuf[..., :end, :])
 
 
 def encoder_block(store, name, x, d, heads, mlp_hidden):

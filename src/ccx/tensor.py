@@ -110,9 +110,6 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -214,22 +211,33 @@ def mul(a, b):
     return _binary(a, b, a.data * b.data, lambda g: g * b.data, lambda g: g * a.data)
 
 
-def matmul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul needs rank>=2 operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner mismatch: {a.shape} @ {b.shape}")
-    try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError:
-        raise ShapeError(f"matmul batch mismatch: {a.shape} @ {b.shape}")
+def linear(x, w, b):
+    """Affine map as one node: x @ w + b for x [..., n], w [n, m] and b [m].
+
+    The forward adds the bias in place on the product; the backward forms
+    dx = g wᵀ, dW = Σ xᵀ g (a product per leading index, then summed over
+    the leading axes) and db = Σ g, skipping the inputs that need no
+    gradient.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.data.ndim < 2 or w.data.ndim != 2:
+        raise ShapeError(f"linear needs x of rank>=2 and a rank-2 w, got {x.shape} @ {w.shape}")
+    if x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear inner mismatch: {x.shape} @ {w.shape}")
+    if b.shape != w.shape[1:]:
+        raise ShapeError(f"linear bias {b.shape} does not match {w.shape}")
+    out = x.data @ w.data
+    out += b.data
 
     def bwd(g):
-        _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.shape))
+        if x.requires_grad:
+            _accum(x, g @ w.data.T)
+        if w.requires_grad:
+            _accum(w, _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape))
 
-    return _node(a.data @ b.data, (a, b), bwd)
+    return _node(out, (x, w, b), bwd)
 
 
 def sigmoid(a):
@@ -260,16 +268,31 @@ def gelu(a):
     return _unary(a, out, da)
 
 
-def attend(q, k, v, scale, mask=None):
-    """Scaled dot-product attention as one node: softmax(scale·q kᵀ + mask) v.
+def _split_heads(x, heads):
+    """[..., T, d] -> a [..., heads, T, d/heads] view."""
+    *lead, t, d = x.shape
+    return np.swapaxes(x.reshape(*lead, t, heads, d // heads), -3, -2)
+
+
+def _merge_heads(x):
+    """[..., heads, T, dh] -> a new [..., T, heads*dh] array."""
+    *lead, heads, t, dh = x.shape
+    return np.swapaxes(x, -3, -2).reshape(*lead, t, heads * dh)
+
+
+def attend(q, k, v, heads, scale, mask=None):
+    """Multi-head scaled dot-product attention as one node: per head h,
+    softmax(scale·q_h k_hᵀ + mask) v_h, with the heads' contexts merged.
 
     ``q`` is [..., Tq, d], ``k`` [..., Tk, d] and ``v`` [..., Tk, dv]; their
-    leading axes broadcast. ``mask`` is an additive float array that
-    broadcasts to the scores [..., Tq, Tk] without enlarging them (0 =
-    attend, large negative = blocked). The scores are formed in one
-    buffer, then scaled, masked and normalized in place, so only the
-    probabilities P are kept. Returns ``(P @ v, P)``: the context as a
-    tensor whose parents are ``(q, k, v)``, and P as a plain array. The
+    leading axes broadcast, and head h owns columns h·d/heads to
+    (h+1)·d/heads of each (numpy views, no copies). ``mask`` is an
+    additive float array that broadcasts to the scores [..., heads, Tq,
+    Tk] without enlarging them (0 = attend, large negative = blocked).
+    The scores are formed in one buffer, then scaled, masked and
+    normalized in place, so only the probabilities P are kept. Returns
+    ``(context, P)``: the context [..., Tq, dv] as a tensor whose parents
+    are ``(q, k, v)``, and P [..., heads, Tq, Tk] as a plain array. The
     backward uses the softmax identity dS = P ∘ (dP − rowsum(dP ∘ P)), as
     in FlashAttention, and recomputes nothing.
     """
@@ -278,16 +301,20 @@ def attend(q, k, v, scale, mask=None):
         raise ShapeError(f"attend needs rank>=2 operands, got {q.shape}, {k.shape}, {v.shape}")
     if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"attend: q {q.shape}, k {k.shape} and v {v.shape} do not align")
+    if q.shape[-1] % heads or v.shape[-1] % heads:
+        raise ShapeError(f"attend: widths {q.shape[-1]} and {v.shape[-1]} "
+                         f"not divisible by {heads} heads")
     try:
         scores = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
-        scores += (q.shape[-2], k.shape[-2])
+        scores += (heads, q.shape[-2], k.shape[-2])
         fits = mask is None or np.broadcast_shapes(scores, np.shape(mask)) == scores
     except ValueError:
         fits = False
     if not fits:  # the mask is added in place, so it may not enlarge the scores
         raise ShapeError(f"attend: q {q.shape}, k {k.shape}, v {v.shape} and mask "
                          f"{None if mask is None else np.shape(mask)} do not broadcast")
-    p = q.data @ np.swapaxes(k.data, -1, -2)
+    qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
+    p = qh @ np.swapaxes(kh, -1, -2)
     p *= scale
     if mask is not None:
         p += mask
@@ -296,15 +323,16 @@ def attend(q, k, v, scale, mask=None):
     p /= p.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        _accum(v, _unbroadcast(np.swapaxes(p, -1, -2) @ g, v.shape))
-        ds = g @ np.swapaxes(v.data, -1, -2)  # dP, then dS in place
+        g = _split_heads(g, heads)
+        _accum(v, _unbroadcast(_merge_heads(np.swapaxes(p, -1, -2) @ g), v.shape))
+        ds = g @ np.swapaxes(vh, -1, -2)  # dP, then dS in place
         ds -= (ds * p).sum(axis=-1, keepdims=True)
         ds *= p
         ds *= scale
-        _accum(q, _unbroadcast(ds @ k.data, q.shape))
-        _accum(k, _unbroadcast(np.swapaxes(ds, -1, -2) @ q.data, k.shape))
+        _accum(q, _unbroadcast(_merge_heads(ds @ kh), q.shape))
+        _accum(k, _unbroadcast(_merge_heads(np.swapaxes(ds, -1, -2) @ qh), k.shape))
 
-    return _node(p @ v.data, (q, k, v), bwd), p
+    return _node(_merge_heads(p @ vh), (q, k, v), bwd), p
 
 
 def log_softmax(a, axis=-1):
@@ -329,10 +357,11 @@ def layer_norm(x, gain, bias, eps=1e-5):
         raise ShapeError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match width {d}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # np.mean's and np.var's arithmetic, with the centred rows formed once
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat *= inv
 
     def bwd(g):
         lead = tuple(range(g.ndim - 1))
@@ -343,7 +372,9 @@ def layer_norm(x, gain, bias, eps=1e-5):
         m2 = (gy * xhat).mean(axis=-1, keepdims=True)
         _accum(x, (gy - m1 - xhat * m2) * inv)
 
-    return _node(xhat * gain.data + bias.data, (x, gain, bias), bwd)
+    out = xhat * gain.data
+    out += bias.data
+    return _node(out, (x, gain, bias), bwd)
 
 
 def concat(tensors, axis=0):

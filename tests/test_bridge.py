@@ -317,12 +317,42 @@ class TestCachedGenerate:
         full = bridge.decoder_forward(store, seq, len(vocab), layout, dec_cfg).data
         cut = layout.expanded_len + 2
         cache = {}
-        head = bridge.decoder_forward(store, T.Tensor(seq.data[:cut]), len(vocab),
-                                      layout, dec_cfg, cache, 0).data
-        tail = bridge.decoder_forward(store, T.Tensor(seq.data[cut:]), len(vocab),
-                                      layout, dec_cfg, cache, cut).data
+        with T.no_grad():
+            head = bridge.decoder_forward(store, T.Tensor(seq.data[:cut]), len(vocab),
+                                          layout, dec_cfg, cache, 0).data
+            tail = bridge.decoder_forward(store, T.Tensor(seq.data[cut:]), len(vocab),
+                                          layout, dec_cfg, cache, cut).data
         np.testing.assert_allclose(head, full[:cut], rtol=0, atol=1e-12)
         np.testing.assert_allclose(tail, full[cut:], rtol=0, atol=1e-12)
+
+    def test_regrown_buffer_matches_full_pass(self, store, vocab, dec_cfg):
+        """A one-row first call sizes each buffer to two rows; the next call
+        overflows it, and the regrown buffer still gives the full pass."""
+        f1, f2 = _features(17)
+        layout = PromptLayout.build(vocab, N)
+        caption = vocab.encode("a road is built at the center") + [EOS]
+        seq, *_ = _assemble_one(store, f1, f2, layout, vocab, dec_cfg, caption)
+        t = seq.shape[0]
+        cache = {}
+        with T.no_grad():
+            full = bridge.decoder_forward(store, seq, len(vocab), layout, dec_cfg).data
+            head = bridge.decoder_forward(store, T.Tensor(seq.data[:1]), len(vocab),
+                                          layout, dec_cfg, cache, 0).data
+            assert {buf.shape for k, v, n in cache.values() for buf in (k, v)} == {(2, C)}
+            tail = bridge.decoder_forward(store, T.Tensor(seq.data[1:]), len(vocab),
+                                          layout, dec_cfg, cache, 1).data
+        assert len(cache) == dec_cfg.depth
+        for kbuf, vbuf, filled in cache.values():
+            assert kbuf.shape == vbuf.shape == (2 * t, C) and filled == t
+        np.testing.assert_allclose(head, full[:1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tail, full[1:], rtol=0, atol=1e-12)
+
+    def test_cache_under_grad_mode_raises(self, store, vocab, dec_cfg):
+        f1, f2 = _features(17)
+        layout = PromptLayout.build(vocab, N)
+        seq, *_ = bridge.assemble_sequence(store, f1, f2, layout, vocab, dec_cfg)
+        with pytest.raises(ValueError, match="no gradient"):
+            bridge.decoder_forward(store, seq, len(vocab), layout, dec_cfg, {}, 0)
 
 
 def _stacked(*pairs):

@@ -16,43 +16,75 @@ def fd_check(build, tensors, tol=1e-5, max_entries=64):
     assert worst < tol, errs
 
 
+def _bias(m, seed=None):
+    """A zero bias of width m, or a normal one from ``seed``."""
+    return T.Tensor(np.zeros(m) if seed is None else Rng(seed).normal((m,)),
+                    requires_grad=seed is not None)
+
+
 class TestMatmul:
+    """The product inside ``T.linear``."""
+
     def test_identity(self):
         a = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = T.matmul(a, T.Tensor(np.eye(2)))
+        out = T.linear(a, T.Tensor(np.eye(2)), _bias(2))
         np.testing.assert_array_equal(out.data, a.data)
 
     def test_dot_product(self):
-        out = T.matmul(T.Tensor([[1.0, 2.0]]), T.Tensor([[3.0], [4.0]]))
-        assert out.data.tolist() == [[11.0]]
+        out = T.linear(T.Tensor([[1.0, 2.0]]), T.Tensor([[3.0], [4.0]]), T.Tensor([0.5]))
+        assert out.data.tolist() == [[11.5]]
 
     def test_shape_mismatch_names_both(self):
         with pytest.raises(T.ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))))
+            T.linear(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))), _bias(3))
+        with pytest.raises(T.ShapeError, match="rank"):
+            T.linear(T.Tensor(np.ones(3)), T.Tensor(np.ones((3, 2))), _bias(2))
+        with pytest.raises(T.ShapeError, match="bias"):
+            T.linear(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((3, 2))), _bias(3))
 
     def test_grad_of_sum_matches_ones_bT(self):
         r = Rng(1)
         a = T.Tensor(r.normal((3, 4)), requires_grad=True)
         b = T.Tensor(r.normal((4, 2)), requires_grad=True)
-        T.tsum(T.matmul(a, b)).backward()
+        bias = _bias(2, seed=24)
+        T.tsum(T.linear(a, b, bias)).backward()
         np.testing.assert_allclose(a.grad, np.ones((3, 2)) @ b.data.T, rtol=1e-12)
+        np.testing.assert_array_equal(bias.grad, [3.0, 3.0])
 
-    def test_gradcheck(self):
+    def _gradcheck(self, bias):
         r = Rng(2)
         a = T.Tensor(r.normal((3, 4)), requires_grad=True)
         b = T.Tensor(r.normal((4, 2)), requires_grad=True)
         w = r.normal((3, 2))
-        fd_check(lambda: T.tsum(T.matmul(a, b) * T.Tensor(w)), {"a": a, "b": b})
+        leaves = {"a": a, "b": b} | ({"bias": bias} if bias.requires_grad else {})
+        fd_check(lambda: T.tsum(T.linear(a, b, bias) * T.Tensor(w)), leaves)
+
+    def test_gradcheck(self):
+        self._gradcheck(_bias(2, seed=25))
+
+    def test_gradcheck_zero_constant_bias(self):
+        self._gradcheck(_bias(2))
 
     def test_batched(self):
         r = Rng(3)
         a = T.Tensor(r.normal((2, 3, 4)), requires_grad=True)
-        b = T.Tensor(r.normal((2, 4, 5)), requires_grad=True)
+        b = T.Tensor(r.normal((4, 5)), requires_grad=True)
+        bias = _bias(5, seed=26)
         w = r.normal((2, 3, 5))
-        out = T.matmul(a, b)
+        out = T.linear(a, b, bias)
         assert out.shape == (2, 3, 5)
-        fd_check(lambda: T.tsum(T.matmul(a, b) * T.Tensor(w)), {"a": a, "b": b},
-                 max_entries=12)
+        fd_check(lambda: T.tsum(T.linear(a, b, bias) * T.Tensor(w)),
+                 {"a": a, "b": b, "bias": bias}, max_entries=12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.integers(1, 6),
+           st.integers(1, 6), st.integers(1, 6))
+    def test_forward_is_product_plus_bias_bitwise(self, seed, lead, rows, n, m):
+        r = Rng(seed)
+        x = r.normal((2,) * lead + (rows, n))
+        w, b = r.normal((n, m)), r.normal((m,))
+        out = T.linear(T.Tensor(x), T.Tensor(w), T.Tensor(b))
+        assert out.data.tobytes() == (x @ w + b).tobytes()
 
 
 class TestElementwise:
@@ -79,11 +111,12 @@ class TestElementwise:
 
 
 def _softmax_rows(z):
-    """T.attend's probabilities for logits z [rows, cols]: q = z and k = I,
-    so the scores are z itself."""
+    """T.attend's context and probabilities for logits z [rows, cols] with
+    one head: q = z and k = I, so the scores are z itself."""
     z = np.atleast_2d(z)
     cols = z.shape[-1]
-    return T.attend(T.Tensor(z), T.Tensor(np.eye(cols)), T.Tensor(np.eye(cols)), 1.0)
+    ctx, p = T.attend(T.Tensor(z), T.Tensor(np.eye(cols)), T.Tensor(np.eye(cols)), 1, 1.0)
+    return ctx, p[0]
 
 
 class TestSoftmax:
@@ -104,7 +137,7 @@ class TestSoftmax:
         v = T.Tensor(Rng(5).normal((4, 2)), requires_grad=True)
         w = Rng(8).normal((3, 2))
         errs = finite_diff_check(
-            lambda: T.tsum(T.attend(q, k, v, 0.5)[0] * T.Tensor(w)),
+            lambda: T.tsum(T.attend(q, k, v, 1, 0.5)[0] * T.Tensor(w)),
             {"q": q, "k": k, "v": v}, max_entries=18)
         assert max(errs.values()) < 1e-6
 
@@ -120,15 +153,31 @@ def _causal(tq, tk):
     return np.triu(np.full((tq, tk), -1e30), k=tk - tq + 1)
 
 
+def _per_head(q, k, v, heads, scale, mask):
+    """Attention with the heads split and merged explicitly, one at a time."""
+    ctxs, probs = [], []
+    for h in range(heads):
+        def cols(x):
+            dh = x.shape[-1] // heads
+            return x[..., h * dh:(h + 1) * dh]
+
+        s = cols(q) @ np.swapaxes(cols(k), -1, -2) * scale + mask
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        ctxs.append(p @ cols(v))
+        probs.append(p)
+    return np.concatenate(ctxs, axis=-1), np.stack(probs, axis=-3)
+
+
 class TestAttend:
-    def _check(self, qshape, kshape, mask, seed):
+    def _check(self, qshape, kshape, mask, seed, heads=1, dv=3):
         r = Rng(seed)
         q = T.Tensor(r.normal(qshape), requires_grad=True)
         k = T.Tensor(r.normal(kshape), requires_grad=True)
-        v = T.Tensor(r.normal(kshape[:-1] + (3,)), requires_grad=True)
-        ctx, _ = T.attend(q, k, v, 0.7, mask)
+        v = T.Tensor(r.normal(kshape[:-1] + (dv,)), requires_grad=True)
+        ctx, _ = T.attend(q, k, v, heads, 0.7, mask)
         w = r.normal(ctx.shape)
-        fd_check(lambda: T.tsum(T.attend(q, k, v, 0.7, mask)[0] * T.Tensor(w)),
+        fd_check(lambda: T.tsum(T.attend(q, k, v, heads, 0.7, mask)[0] * T.Tensor(w)),
                  {"q": q, "k": k, "v": v}, tol=1e-6, max_entries=24)
 
     def test_gradcheck_causal_mask(self):
@@ -140,14 +189,31 @@ class TestAttend:
     def test_gradcheck_kv_cache_longer_keys(self):
         self._check((2, 2, 4), (2, 5, 4), _causal(2, 5), 82)
 
+    def test_gradcheck_two_heads_decoder_cache_mask(self):
+        # two new rows after three cached ones, as decoder_forward masks them
+        start, t = 3, 2
+        mask = np.triu(np.full((t, start + t), -1e30), k=start + 1)
+        self._check((2, t, 8), (2, start + t, 8), mask, 87, heads=2, dv=6)
+
+    @pytest.mark.parametrize("heads", [2, 3, 4])
+    def test_heads_match_per_head_reference_bitwise(self, heads):
+        r = Rng(88 + heads)
+        q, k = r.normal((2, 3, 2 * heads)), r.normal((2, 5, 2 * heads))
+        v = r.normal((2, 5, 3 * heads))
+        ctx, p = T.attend(T.Tensor(q), T.Tensor(k), T.Tensor(v), heads, 0.5, _causal(3, 5))
+        want_ctx, want_p = _per_head(q, k, v, heads, 0.5, _causal(3, 5))
+        assert ctx.shape == (2, 3, 3 * heads) and p.shape == (2, heads, 3, 5)
+        assert p.tobytes() == want_p.tobytes()
+        assert ctx.data.tobytes() == want_ctx.tobytes()
+
     def test_matches_unfused_reference(self):
         r = Rng(83)
         q, k, v = r.normal((2, 3, 4)), r.normal((2, 5, 4)), r.normal((2, 5, 3))
         s = 0.5 * (q @ np.swapaxes(k, -1, -2)) + _causal(3, 5)
         e = np.exp(s - s.max(axis=-1, keepdims=True))
         want = e / e.sum(axis=-1, keepdims=True)
-        ctx, p = T.attend(T.Tensor(q), T.Tensor(k), T.Tensor(v), 0.5, _causal(3, 5))
-        np.testing.assert_allclose(p, want, rtol=1e-14, atol=1e-300)
+        ctx, p = T.attend(T.Tensor(q), T.Tensor(k), T.Tensor(v), 1, 0.5, _causal(3, 5))
+        np.testing.assert_allclose(p[:, 0], want, rtol=1e-14, atol=1e-300)
         np.testing.assert_allclose(ctx.data, want @ v, rtol=1e-13)
 
     def test_row_blocked_but_one(self):
@@ -158,8 +224,8 @@ class TestAttend:
         mask = np.zeros((3, 5))
         mask[1] = -1e30
         mask[1, 3] = 0.0  # row 1 may only see key 3
-        ctx, p = T.attend(q, k, v, 0.5, mask)
-        np.testing.assert_array_equal(p[1], [0.0, 0.0, 0.0, 1.0, 0.0])
+        ctx, p = T.attend(q, k, v, 1, 0.5, mask)
+        np.testing.assert_array_equal(p[0, 1], [0.0, 0.0, 0.0, 1.0, 0.0])
         np.testing.assert_array_equal(ctx.data[1], v.data[3])
         T.tsum(ctx * T.Tensor(r.normal((3, 2)))).backward()
         # a one-hot row has a zero softmax Jacobian: no gradient reaches its query
@@ -171,11 +237,17 @@ class TestAttend:
             return T.Tensor(np.ones(shape))
 
         with pytest.raises(T.ShapeError, match="do not align"):
-            T.attend(ones(2, 3), ones(4, 2), ones(4, 3), 1.0)
+            T.attend(ones(2, 3), ones(4, 2), ones(4, 3), 1, 1.0)
         with pytest.raises(T.ShapeError, match="do not broadcast"):
-            T.attend(ones(2, 2, 3), ones(3, 4, 3), ones(3, 4, 3), 1.0)
+            T.attend(ones(2, 2, 3), ones(3, 4, 3), ones(3, 4, 3), 1, 1.0)
         with pytest.raises(T.ShapeError, match="do not broadcast"):
-            T.attend(ones(2, 3), ones(4, 3), ones(4, 3), 1.0, np.zeros((2, 2, 4)))
+            T.attend(ones(2, 3), ones(4, 3), ones(4, 3), 1, 1.0, np.zeros((2, 2, 4)))
+        with pytest.raises(T.ShapeError, match="do not broadcast"):
+            T.attend(ones(2, 4), ones(3, 4), ones(3, 4), 2, 1.0, np.zeros((3, 2, 3)))
+        with pytest.raises(T.ShapeError, match="not divisible by 2 heads"):
+            T.attend(ones(2, 3), ones(4, 3), ones(4, 3), 2, 1.0)
+        with pytest.raises(T.ShapeError, match="not divisible by 2 heads"):
+            T.attend(ones(2, 4), ones(4, 4), ones(4, 3), 2, 1.0)
 
     def test_attention_records_one_node_on_head_split_qkv(self):
         from ccx import nn
@@ -193,15 +265,45 @@ class TestAttend:
                 graph.add(id(t))
                 nodes.append(t)
                 stack.extend(t._parents)
-        (ctx,) = [t for t in nodes if len(t._parents) == 3]
-        q, k, v = ctx._parents
-        for name, split in zip("qkv", (q, k, v)):
-            # head split: swapaxes(reshape(linear)), the linear ending in + its bias
-            linear_out = split._parents[0]._parents[0]
-            assert linear_out._parents[1] is store.params[f"decoder.attn.{name}.b"].tensor
-            assert [t for t in nodes if split in t._parents] == [ctx]
-        # output = linear(merge(ctx)): add <- matmul <- reshape <- swapaxes <- ctx
-        assert out._parents[0]._parents[0]._parents[0]._parents[0] is ctx
+        # the one node whose three parents are all recorded nodes
+        (ctx,) = [t for t in nodes
+                  if len(t._parents) == 3 and all(p._parents for p in t._parents)]
+        assert ctx.shape == (2, 5, 8)
+        for name, linear_out in zip("qkv", ctx._parents):
+            # each head-split input is its linear's output: (x, w, b) -> node
+            assert linear_out._parents == (x, *(store.params[f"decoder.attn.{name}.{p}"].tensor
+                                                for p in "wb"))
+            assert [t for t in nodes if linear_out in t._parents] == [ctx]
+        # output = linear(ctx): the heads are merged inside the attend node
+        assert out._parents == (ctx, *(store.params[f"decoder.attn.o.{p}"].tensor
+                                       for p in "wb"))
+
+    def test_attention_graph_has_five_nodes_and_no_view_ops(self, monkeypatch):
+        from ccx import nn
+
+        def view_op(*args):
+            raise AssertionError("nn.attention called a reshape/swapaxes op")
+
+        monkeypatch.setattr(T, "reshape", view_op)
+        monkeypatch.setattr(T, "swapaxes", view_op)
+        calls = {"linear": 0, "attend": 0}
+        for op in calls:
+            def counted(*args, _op=op, _real=getattr(T, op)):
+                calls[_op] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(T, op, counted)
+        store = nn.ParamStore(Rng(85))
+        x = T.Tensor(Rng(86).normal((2, 5, 8)), requires_grad=True)
+        out, _ = nn.attention(store, "decoder.attn", x, x, 8, 2, mask=_causal(5, 5))
+        recorded, stack = {}, [out]
+        while stack:
+            t = stack.pop()
+            if t._parents and id(t) not in recorded:
+                recorded[id(t)] = t
+                stack.extend(t._parents)
+        assert len(recorded) == 5
+        assert calls == {"linear": 4, "attend": 1}
 
 
 class TestLayerNorm:
@@ -223,6 +325,17 @@ class TestLayerNorm:
         w = Rng(14).normal((2, 4))
         fd_check(lambda: T.tsum(T.layer_norm(x, g, b) * T.Tensor(w)),
                  {"x": x, "g": g, "b": b})
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.integers(1, 40))
+    def test_forward_matches_mean_var_formula_bitwise(self, seed, lead, d):
+        r = Rng(seed)
+        x = r.uniform((2,) * lead + (3, d)) * 10.0 ** (r.randint(7) - 3)
+        g, b = r.normal((d,)), r.normal((d,))
+        mu, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+        want = (x - mu) * (1.0 / np.sqrt(var + 1e-5)) * g + b
+        out = T.layer_norm(T.Tensor(x), T.Tensor(g), T.Tensor(b))
+        assert out.data.tobytes() == want.tobytes()
 
 
 class TestConcatPool:
@@ -315,16 +428,16 @@ class TestAdamW:
 
 
 def _every_op(x, w, v):
-    """Every public op on x [3,4], w [4,2] and v [4] ->
+    """Every public op on x [3,4], w [4,4] and v [4] ->
     {name: (result, the inputs a recorded result keeps as parents)}."""
     return {
         "add": (x + v, (x, v)),
         "sub": (x - v, (x, v)),
         "mul": (x * v, (x, v)),
-        "matmul": (T.matmul(x, w), (x, w)),
+        "linear": (T.linear(x, w, v), (x, w, v)),
         "sigmoid": (T.sigmoid(x), (x,)),
         "gelu": (T.gelu(x), (x,)),
-        "attend": (T.attend(x, x, x, 0.5)[0], (x, x, x)),
+        "attend": (T.attend(x, x, x, 2, 0.5)[0], (x, x, x)),
         "log_softmax": (T.log_softmax(x), (x,)),
         "layer_norm": (T.layer_norm(x, v, v), (x, v, v)),
         "concat": (T.concat([x, x], axis=0), (x, x)),
@@ -340,7 +453,7 @@ def _every_op(x, w, v):
 class TestNoGrad:
     def test_ops_record_no_graph(self):
         r = Rng(41)
-        data = (0.5 + r.uniform((3, 4)), r.normal((4, 2)), r.normal((4,)))
+        data = (0.5 + r.uniform((3, 4)), r.normal((4, 4)), r.normal((4,)))
         leaves = [T.Tensor(d, requires_grad=True) for d in data]
         with T.no_grad():
             unrecorded = _every_op(*leaves)
@@ -403,7 +516,7 @@ def _leaf(seed, shape):
 class TestBackwardFreesGraph:
     def test_interior_released_leaves_keep_grads(self):
         a, b = _leaf(50, (3, 4)), _leaf(51, (4, 2))
-        h = T.gelu(T.matmul(a, b))
+        h = T.gelu(T.linear(a, b, T.Tensor(np.zeros(2))))
         y = T.tsum(h * h)
         y.backward()
         for t in (h, y):

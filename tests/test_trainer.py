@@ -7,6 +7,7 @@ import pytest
 
 from ccx import config as cfgmod
 from ccx import data, metrics, nn, trainer
+from ccx import tensor as T
 from ccx.model import CaptionModel, build_vocabulary
 from ccx.optim import AdamW
 from ccx.rng import Rng
@@ -53,6 +54,25 @@ def _ckpt_digest(path):
         h.update(p.name.encode())
         h.update(p.read_bytes())
     return h.hexdigest()
+
+
+def test_build_model_creates_every_parameter_without_gradients(monkeypatch):
+    """The throwaway forward that creates the parameters records no graph."""
+    recorded = []
+    real = T._node
+
+    def node(*args):
+        out = real(*args)
+        recorded.append(out.requires_grad)
+        return out
+
+    monkeypatch.setattr(T, "_node", node)
+    model = trainer.build_model(dict(cfgmod.DEFAULTS))
+    assert recorded and not any(recorded)
+    params = list(model.store.params.values())
+    assert {p.group for p in params} == set(nn.GROUPS)
+    assert len(params) == 361  # the default model's parameter tensors
+    assert all(p.tensor.requires_grad and p.tensor.grad is None for p in params)
 
 
 class TestStageConfig:
