@@ -76,10 +76,12 @@ def patch_embed(store, image, cfg: EncoderConfig):
 
 
 def encode_image(store, image, cfg: EncoderConfig):
-    """Returns the list of post-block outputs, one per transformer block."""
+    """Returns the list of post-block outputs, one per transformer block up
+    to the deepest one a tap or the residual reads; later blocks are not
+    run and create no parameters."""
     x = patch_embed(store, image, cfg)
     outs = []
-    for i in range(cfg.depth):
+    for i in range(cfg.depth + max((*cfg.tap_indices, cfg.residual_index)) + 1):
         x = nn.encoder_block(store, f"encoder.block{i}", x, cfg.d_model,
                              cfg.heads, 4 * cfg.d_model)
         outs.append(x)

@@ -12,10 +12,11 @@ passed its gradient on, its ``.grad``, closure and parent edges are
 dropped, so activations and interior gradients are released during the
 walk. Afterwards interior tensors have ``.grad is None`` and only leaves
 (parameters, inputs) keep a gradient; a second ``backward()`` through a
-freed graph raises ``RuntimeError``. Gradient arrays are never mutated
-in place (accumulation rebinds ``.grad``), so code that changes a
-gradient rebinds it too. All data is float64; shapes are plain numpy
-shapes.
+freed graph raises ``RuntimeError``. A backward closure mutates only
+buffers it allocated itself, never its upstream gradient, an input's
+data or an array it saved; accumulation rebinds ``.grad``, so code that
+changes a gradient rebinds it too. All data is float64; shapes are
+plain numpy shapes.
 """
 
 from __future__ import annotations
@@ -251,19 +252,43 @@ def sigmoid(a):
 
 
 def gelu(a):
-    """GELU via the tanh approximation 0.5x(1+tanh(sqrt(2/pi)(x+0.044715x^3)))."""
+    """GELU via the tanh approximation 0.5x(1+tanh(sqrt(2/pi)(x+0.044715x^3))).
+
+    The forward and the derivative each run in two buffers of their own,
+    with the operations of 0.5·x·(1 + t), t = tanh(sqrt(2/pi)·(x +
+    0.044715·x²·x)), and of g·(0.5(1 + t) + 0.5·x·(1 − t²)·sqrt(2/pi)(1 +
+    3·0.044715·x²)) in the same order; only the exact halvings move within
+    their products.
+    """
     a = as_tensor(a)
     x = a.data
-    x2 = x * x  # x**3 would go through libm pow, an order of magnitude slower
-    u = _SQRT_2_OVER_PI * (x + _GELU_C * (x2 * x))
-    t = np.tanh(u)
-    out = 0.5 * x * (1.0 + t)
+    # x·x, not x**3 (libm pow, an order of magnitude slower), and into an
+    # owned array: on a 0-d input ``x * x`` is a numpy scalar
+    t = np.multiply(x, x, out=np.empty_like(x))
+    t *= x
+    t *= _GELU_C
+    t += x
+    t *= _SQRT_2_OVER_PI
+    np.tanh(t, out=t)  # kept, unchanged, for the derivative
+    out = np.add(t, 1.0, out=np.empty_like(x))
+    out *= 0.5
+    out *= x
 
     def da(g):  # the derivative is formed only when backward runs
-        x = a.data
-        x2 = x * x
-        du = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_C * x2)
-        return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+        du = np.multiply(x, x, out=np.empty_like(x))
+        du *= 3.0 * _GELU_C
+        du += 1.0
+        du *= _SQRT_2_OVER_PI
+        d = np.multiply(t, t, out=np.empty_like(x))
+        np.subtract(1.0, d, out=d)
+        d *= 0.5
+        d *= x
+        d *= du
+        np.add(t, 1.0, out=du)  # du's buffer now takes 0.5·(1 + t)
+        du *= 0.5
+        d += du
+        d *= g
+        return d
 
     return _unary(a, out, da)
 
@@ -289,12 +314,15 @@ def attend(q, k, v, heads, scale, mask=None):
     (h+1)·d/heads of each (numpy views, no copies). ``mask`` is an
     additive float array that broadcasts to the scores [..., heads, Tq,
     Tk] without enlarging them (0 = attend, large negative = blocked).
-    The scores are formed in one buffer, then scaled, masked and
-    normalized in place, so only the probabilities P are kept. Returns
-    ``(context, P)``: the context [..., Tq, dv] as a tensor whose parents
-    are ``(q, k, v)``, and P [..., heads, Tq, Tk] as a plain array. The
-    backward uses the softmax identity dS = P ∘ (dP − rowsum(dP ∘ P)), as
-    in FlashAttention, and recomputes nothing.
+    ``scale`` is folded into the query heads before the score product; the
+    scores are formed in one buffer, then masked and normalized in place,
+    so only the probabilities P and the unmerged per-head contexts O are
+    kept. Returns ``(context, P)``: the context [..., Tq, dv] as a tensor
+    whose parents are ``(q, k, v)``, and P [..., heads, Tq, Tk] as a plain
+    array. The backward uses FlashAttention-2's identity dS = P ∘ (dP − D)
+    with D = rowsum(dO ∘ O) per head, which equals rowsum(dP ∘ P) without a
+    pass over P, applies ``scale`` to the dQ and dK products, and
+    recomputes nothing.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if min(q.data.ndim, k.data.ndim, v.data.ndim) < 2:
@@ -314,25 +342,28 @@ def attend(q, k, v, heads, scale, mask=None):
         raise ShapeError(f"attend: q {q.shape}, k {k.shape}, v {v.shape} and mask "
                          f"{None if mask is None else np.shape(mask)} do not broadcast")
     qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
-    p = qh @ np.swapaxes(kh, -1, -2)
-    p *= scale
+    p = (qh * scale) @ np.swapaxes(kh, -1, -2)
     if mask is not None:
         p += mask
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
+    o = p @ vh
 
     def bwd(g):
         g = _split_heads(g, heads)
         _accum(v, _unbroadcast(_merge_heads(np.swapaxes(p, -1, -2) @ g), v.shape))
         ds = g @ np.swapaxes(vh, -1, -2)  # dP, then dS in place
-        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds -= (g * o).sum(axis=-1, keepdims=True)
         ds *= p
-        ds *= scale
-        _accum(q, _unbroadcast(_merge_heads(ds @ kh), q.shape))
-        _accum(k, _unbroadcast(_merge_heads(np.swapaxes(ds, -1, -2) @ qh), k.shape))
+        dq = _merge_heads(ds @ kh)
+        dq *= scale
+        _accum(q, _unbroadcast(dq, q.shape))
+        dk = _merge_heads(np.swapaxes(ds, -1, -2) @ qh)
+        dk *= scale
+        _accum(k, _unbroadcast(dk, k.shape))
 
-    return _node(_merge_heads(p @ vh), (q, k, v), bwd), p
+    return _node(_merge_heads(o), (q, k, v), bwd), p
 
 
 def log_softmax(a, axis=-1):
@@ -364,13 +395,19 @@ def layer_norm(x, gain, bias, eps=1e-5):
     xhat *= inv
 
     def bwd(g):
+        # dx = (gy − mean(gy) − x̂·mean(gy·x̂))·inv with gy = g·gain, formed
+        # in place in gy; ``gx`` holds g·x̂, then gy·x̂, then x̂·mean(gy·x̂)
         lead = tuple(range(g.ndim - 1))
-        _accum(gain, _unbroadcast((g * xhat).sum(axis=lead), gain.shape))
+        gx = g * xhat
+        _accum(gain, _unbroadcast(gx.sum(axis=lead), gain.shape))
         _accum(bias, _unbroadcast(g.sum(axis=lead), bias.shape))
         gy = g * gain.data
         m1 = gy.mean(axis=-1, keepdims=True)
-        m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, (gy - m1 - xhat * m2) * inv)
+        m2 = np.multiply(gy, xhat, out=gx).mean(axis=-1, keepdims=True)
+        gy -= m1
+        gy -= np.multiply(xhat, m2, out=gx)
+        gy *= inv
+        _accum(x, gy)
 
     out = xhat * gain.data
     out += bias.data

@@ -1,3 +1,9 @@
+import ctypes
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,6 +175,23 @@ def _per_head(q, k, v, heads, scale, mask):
     return np.concatenate(ctxs, axis=-1), np.stack(probs, axis=-3)
 
 
+def _attend_grads_reference(q, k, v, heads, scale, mask, g):
+    """dQ, dK and dV of sum(g ∘ attend(q, k, v)) by the softmax identity
+    dS = P ∘ (dP − rowsum(dP ∘ P)), with ``scale`` applied to dS."""
+    def split(x):
+        return np.swapaxes(x.reshape(*x.shape[:-1], heads, -1), -3, -2)
+
+    def merge(x):
+        return np.swapaxes(x, -3, -2).reshape(*x.shape[:-3], x.shape[-2], -1)
+
+    _, p = _per_head(q, k, v, heads, scale, mask)
+    qh, kh, vh, gh = split(q), split(k), split(v), split(g)
+    dp = gh @ np.swapaxes(vh, -1, -2)
+    ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+    return (merge(ds @ kh), merge(np.swapaxes(ds, -1, -2) @ qh),
+            merge(np.swapaxes(p, -1, -2) @ gh))
+
+
 class TestAttend:
     def _check(self, qshape, kshape, mask, seed, heads=1, dv=3):
         r = Rng(seed)
@@ -194,6 +217,22 @@ class TestAttend:
         start, t = 3, 2
         mask = np.triu(np.full((t, start + t), -1e30), k=start + 1)
         self._check((2, t, 8), (2, start + t, 8), mask, 87, heads=2, dv=6)
+
+    def test_gradcheck_four_heads_causal(self):
+        self._check((2, 6, 8), (2, 6, 8), _causal(6, 6), 89, heads=4, dv=8)
+
+    @pytest.mark.parametrize("seed", [90, 91, 92])
+    def test_backward_matches_rowsum_dp_p_reference(self, seed):
+        """D = rowsum(dO ∘ O) reorders the sums of rowsum(dP ∘ P) only."""
+        r = Rng(seed)
+        heads, scale = 4, 1.0 / np.sqrt(12.0)
+        q, k, v = (T.Tensor(r.normal((8, 20, 48)), requires_grad=True) for _ in range(3))
+        g = r.normal((8, 20, 48))
+        T.attend(q, k, v, heads, scale, _causal(20, 20))[0].backward(g)
+        want = _attend_grads_reference(q.data, k.data, v.data, heads, scale,
+                                       _causal(20, 20), g)
+        for got, ref in zip((q.grad, k.grad, v.grad), want):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("heads", [2, 3, 4])
     def test_heads_match_per_head_reference_bitwise(self, heads):
@@ -336,6 +375,22 @@ class TestLayerNorm:
         want = (x - mu) * (1.0 / np.sqrt(var + 1e-5)) * g + b
         out = T.layer_norm(T.Tensor(x), T.Tensor(g), T.Tensor(b))
         assert out.data.tobytes() == want.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(4,), (3, 7), (8, 1, 32)]))
+    def test_input_gradient_matches_formula_bitwise(self, seed, shape):
+        r = Rng(seed)
+        d = shape[-1]
+        x = T.Tensor(r.normal(shape) * 10.0 ** (r.randint(7) - 3), requires_grad=True)
+        gain, g = r.normal((d,)), r.normal(shape)
+        T.layer_norm(x, T.Tensor(gain), T.Tensor(np.zeros(d))).backward(g)
+        xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
+        inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d + 1e-5)
+        xhat *= inv
+        gy = g * gain
+        m1 = gy.mean(axis=-1, keepdims=True)
+        m2 = (gy * xhat).mean(axis=-1, keepdims=True)
+        assert x.grad.tobytes() == ((gy - m1 - xhat * m2) * inv).tobytes()
 
 
 class TestConcatPool:
@@ -640,6 +695,22 @@ class TestGelu:
         fd_check(lambda: T.tsum(T.gelu(x) * T.Tensor(w)), {"x": x}, tol=1e-7,
                  max_entries=32)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(), (8, 1, 32), (5, 3)]))
+    def test_forward_and_derivative_match_formula_bitwise(self, seed, shape):
+        r = Rng(seed)
+        x = np.asarray(r.normal(shape) * 10.0 ** (r.randint(7) - 3))
+        g = np.asarray(r.normal(shape))
+        a = T.Tensor(x, requires_grad=True)
+        out = T.gelu(a)
+        out.backward(g)
+        t = np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x)))
+        du = np.sqrt(2.0 / np.pi) * (1.0 + 3.0 * 0.044715 * (x * x))
+        assert out.data.tobytes() == (0.5 * x * (1.0 + t)).tobytes()
+        want = g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+        assert a.grad.tobytes() == np.asarray(want).tobytes()
+        assert a.data.tobytes() == x.tobytes()
+
 
 def test_backward_peak_memory_stays_near_forward_live_bytes():
     """Backward frees the graph as it goes, so its peak traced allocation
@@ -666,3 +737,28 @@ def test_backward_peak_memory_stays_near_forward_live_bytes():
     finally:
         tracemalloc.stop()
     assert peak <= 1.3 * live, (peak, live)
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="libc has no mallopt")
+def test_freed_heap_is_kept_between_cycles():
+    """After ``import ccx``, memory a cycle frees is reused by the next one
+    instead of being returned to the kernel and faulted in again. Two
+    2 MiB arrays live at once, as a step's graph frees many arrays
+    together; with glibc's default thresholds every cycle faults them in
+    again (about 990 minor faults a cycle)."""
+    script = (
+        "import resource, numpy as np, ccx\n"
+        "def cycle():\n"
+        "    arrays = [np.ones(1 << 18) for _ in range(2)]\n"
+        "    del arrays\n"
+        "cycle()\n"  # the first cycle grows the heap
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(10):\n"
+        "    cycle()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = str(Path(T.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert int(out) <= 8

@@ -71,7 +71,7 @@ def test_build_model_creates_every_parameter_without_gradients(monkeypatch):
     assert recorded and not any(recorded)
     params = list(model.store.params.values())
     assert {p.group for p in params} == set(nn.GROUPS)
-    assert len(params) == 361  # the default model's parameter tensors
+    assert len(params) == 345  # the default model's parameter tensors
     assert all(p.tensor.requires_grad and p.tensor.grad is None for p in params)
 
 
