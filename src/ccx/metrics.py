@@ -78,6 +78,22 @@ def _counts(tokens, max_n):
             for n in range(1, max_n + 1)]
 
 
+def _count_table(max_n):
+    """A lookup of sentence -> ``_counts(sentence, max_n)`` that counts each
+    distinct sentence (its token tuple) once; callers build one per call
+    and must not mutate the counts it returns."""
+    table = {}
+
+    def counts(tokens):
+        key = tuple(tokens)
+        c = table.get(key)
+        if c is None:
+            c = table[key] = _counts(key, max_n)
+        return c
+
+    return counts
+
+
 def _corpus_mean(corpus, entry_score):
     """100 x the mean of ``entry_score(entry)`` over the corpus.
 
@@ -98,6 +114,7 @@ def bleu(corpus, max_n=4):
     """Corpus BLEU-1..max_n with per-reference clipping, no smoothing."""
     if not corpus:
         raise ValueError("empty corpus")
+    counts_of = _count_table(max_n)
     match = [0] * max_n
     total = [0] * max_n
     hyp_len = 0
@@ -107,8 +124,8 @@ def bleu(corpus, max_n=4):
         hyp_len += len(h)
         # closest reference length; ties go to the shorter reference
         ref_len += min((abs(len(r) - len(h)), len(r)) for r in e.references)[1]
-        refs = [_counts(r, max_n) for r in e.references]
-        for n, counts in enumerate(_counts(h, max_n)):
+        refs = [counts_of(r) for r in e.references]
+        for n, counts in enumerate(counts_of(h)):
             match[n] += sum(min(c, max(rc[n][g] for rc in refs)) for g, c in counts.items())
             total[n] += sum(counts.values())
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / max(hyp_len, 1))
@@ -184,20 +201,28 @@ def cider_d(corpus, max_n=4, sigma=6.0):
     reported value is the corpus mean x100.
     """
     require_entries(len(corpus))
+    counts_of = _count_table(max_n)
     # document frequencies over reference sets
     df = [Counter() for _ in range(max_n)]
     for e in corpus:
-        refs = [_counts(r, max_n) for r in e.references]
+        refs = [counts_of(r) for r in e.references]
         for n in range(max_n):
             df[n].update(set().union(*(rc[n] for rc in refs)))
     log_docs = math.log(len(corpus))
+    # idf per distinct n-gram; one in no reference set has its df of 0
+    # clamped to 1, and log(1) = 0 leaves its idf log_docs
+    idf = [{g: log_docs - math.log(d) for g, d in df_n.items()} for df_n in df]
+    tf_idf = {}
 
     def vectors(tokens):
-        """Per n: the sentence's tf-idf vector and its norm."""
-        out = []
-        for n, counts in enumerate(_counts(tokens, max_n)):
-            vec = {g: c * (log_docs - math.log(max(df[n][g], 1))) for g, c in counts.items()}
-            out.append((vec, math.sqrt(sum(v * v for v in vec.values()))))
+        """Per n: the sentence's tf-idf vector and its norm, built once."""
+        key = tuple(tokens)
+        out = tf_idf.get(key)
+        if out is None:
+            out = tf_idf[key] = []
+            for idf_n, counts in zip(idf, counts_of(key)):
+                vec = {g: c * idf_n.get(g, log_docs) for g, c in counts.items()}
+                out.append((vec, math.sqrt(sum(v * v for v in vec.values()))))
         return out
 
     def entry(e):

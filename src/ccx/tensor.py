@@ -181,8 +181,10 @@ def _unary(a, out_data, da):
 
 def _binary(a, b, out_data, da, db):
     def bwd(g):
-        _accum(a, _unbroadcast(da(g), a.shape))
-        _accum(b, _unbroadcast(db(g), b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(da(g), a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(db(g), b.shape))
 
     return _node(out_data, (a, b), bwd)
 
@@ -396,14 +398,21 @@ def layer_norm(x, gain, bias, eps=1e-5):
 
     def bwd(g):
         # dx = (gy − mean(gy) − x̂·mean(gy·x̂))·inv with gy = g·gain, formed
-        # in place in gy; ``gx`` holds g·x̂, then gy·x̂, then x̂·mean(gy·x̂)
+        # in place in gy; ``gx`` holds g·x̂ (when the gain trains), then gy·x̂,
+        # then x̂·mean(gy·x̂)
         lead = tuple(range(g.ndim - 1))
-        gx = g * xhat
-        _accum(gain, _unbroadcast(gx.sum(axis=lead), gain.shape))
-        _accum(bias, _unbroadcast(g.sum(axis=lead), bias.shape))
+        gx = None
+        if gain.requires_grad:
+            gx = g * xhat
+            _accum(gain, _unbroadcast(gx.sum(axis=lead), gain.shape))
+        if bias.requires_grad:
+            _accum(bias, _unbroadcast(g.sum(axis=lead), bias.shape))
+        if not x.requires_grad:
+            return
         gy = g * gain.data
         m1 = gy.mean(axis=-1, keepdims=True)
-        m2 = np.multiply(gy, xhat, out=gx).mean(axis=-1, keepdims=True)
+        gx = np.multiply(gy, xhat, out=gx)
+        m2 = gx.mean(axis=-1, keepdims=True)
         gy -= m1
         gy -= np.multiply(xhat, m2, out=gx)
         gy *= inv

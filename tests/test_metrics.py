@@ -211,3 +211,40 @@ class TestEvaluate:
                              for _, h, refs in items])
         for key, val in oracle.items():
             assert rep[key] == pytest.approx(val, abs=1e-9), key
+
+
+# a few sentences, some sharing n-grams, for corpora that repeat them
+POOL = ["a red cup was added", "a red cup was removed", "the red cup moved left",
+        "a cup was added", "nothing has changed", "the scene is unchanged"]
+
+
+class TestSentenceTable:
+    @pytest.mark.parametrize("name", ["bleu", "cider_d"])
+    def test_counts_each_distinct_sentence_once(self, monkeypatch, name):
+        c = corpus([("0", POOL[0], POOL[:3]), ("1", POOL[0], POOL[:3]),
+                    ("2", POOL[3], [POOL[0], POOL[4]]), ("3", "", POOL[:3]),
+                    ("4", POOL[4], [POOL[4], POOL[5]]), ("5", "", [POOL[5]])])
+        counted = []
+        original = metrics._counts
+
+        def counting(tokens, max_n):
+            counted.append(tuple(tokens))
+            return original(tokens, max_n)
+
+        monkeypatch.setattr(metrics, "_counts", counting)
+        getattr(metrics, name)(c)
+        distinct = {tuple(s) for e in c for s in (e.hypothesis, *e.references)}
+        assert sorted(counted) == sorted(distinct)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(
+        st.tuples(st.sampled_from(POOL + [""]),
+                  st.lists(st.sampled_from(POOL), min_size=1, max_size=3)),
+        min_size=2, max_size=8))
+    def test_repeated_sentences_match_oracle(self, raw):
+        items = [(str(i), h, refs) for i, (h, refs) in enumerate(raw)]
+        rep = metrics.evaluate(corpus(items)).to_dict()
+        oracle = ref_report([(word_tokens(h), [word_tokens(r) for r in refs])
+                             for _, h, refs in items])
+        for key, val in oracle.items():
+            assert rep[key] == pytest.approx(val, abs=1e-9), key

@@ -392,6 +392,18 @@ class TestLayerNorm:
         m2 = (gy * xhat).mean(axis=-1, keepdims=True)
         assert x.grad.tobytes() == ((gy - m1 - xhat * m2) * inv).tobytes()
 
+    def test_input_gradient_same_bits_with_constant_or_trained_operands(self):
+        r = Rng(15)
+        xs, ws, gains, biases, g = (r.normal(s) for s in ((3, 8), (3, 8), (8,), (8,), (3, 8)))
+        grads = {}
+        for trained in (False, True):
+            x = T.Tensor(xs, requires_grad=True)
+            w, gain, bias = (T.Tensor(a, requires_grad=trained) for a in (ws, gains, biases))
+            T.layer_norm(x * w, gain, bias).backward(g)
+            assert all((t.grad is not None) == trained for t in (w, gain, bias))
+            grads[trained] = x.grad.tobytes()
+        assert grads[False] == grads[True]
+
 
 class TestConcatPool:
     def test_concat_channel(self):
