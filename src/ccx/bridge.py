@@ -93,6 +93,9 @@ class DecoderConfig:
     max_len: int = 48
 
     def __post_init__(self):
+        for name, low in (("c_model", 1), ("depth", 0), ("heads", 1), ("max_len", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.c_model % self.heads:
             raise ValueError("c_model must be divisible by heads")
 
@@ -216,9 +219,7 @@ def decode_loss(logits, rows, targets, weights):
     [..., T, V] flattened to [-1, V]; see ``assemble_sequence``."""
     if rows is None or len(rows) == 0:
         raise ValueError("decode_loss needs a non-empty caption mask")
-    logp = T.log_softmax(T.reshape(logits, (-1, logits.shape[-1])), axis=-1)
-    picked = T.take_pairs(logp, rows, targets)
-    return -T.tsum(picked * T.Tensor(weights))
+    return T.nll(logits, rows, targets, weights)
 
 
 def generate(store, f1h, f2h, layout, vocab, cfg: DecoderConfig):

@@ -80,6 +80,16 @@ def _coerce(key, raw):
     return str(raw)
 
 
+def _at_least(key, low, strict=False):
+    """A (key, check) entry that rejects a value below ``low`` (or equal to
+    it, when ``strict``), NaN included."""
+    def check(cfg):
+        value = cfg[key]
+        if not (value > low if strict else value >= low):
+            raise ValueError(f"must be {'>' if strict else '>='} {low}, got {value}")
+    return key, check
+
+
 def load_config(path):
     cfg = dict(DEFAULTS)
     text = Path(path).read_text()
@@ -101,6 +111,10 @@ def load_config(path):
               ("decoder", decoder_config)]
     checks += [(f"stage{n}.mode", lambda c, n=n: IterationMode(c[f"stage{n}.mode"]))
                for n in (1, 2, 3)]
+    checks += [_at_least(f"stage{n}.{key}", low) for n in (1, 2, 3)
+               for key, low in (("epochs", 0), ("batch_size", 1), ("base_lr", 0))]
+    checks += [_at_least("train.grad_clip", 0, strict=True),
+               _at_least("train.weight_decay", 0), _at_least("train.encoder_lr_ratio", 0)]
     for name, check in checks:
         try:
             check(cfg)

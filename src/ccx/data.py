@@ -245,17 +245,26 @@ def load_manifest(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ManifestError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ManifestError(f"{path}:{lineno}: expected a JSON object, "
+                                    f"got {type(obj).__name__}")
             missing = {"id", "pathA", "pathB", "captions"} - obj.keys()
             if missing:
                 raise ManifestError(f"{path}:{lineno}: missing fields {sorted(missing)}")
-            if len(obj["captions"]) != 5:
-                raise ManifestError(f"{path}:{lineno}: expected 5 captions")
-            weight = int(obj.get("weight", 1))
-            if weight < 1:
-                raise ManifestError(f"{path}:{lineno}: weight must be >= 1")
+            for key in ("id", "pathA", "pathB", "split", "source"):
+                if not isinstance(obj.get(key, ""), str):
+                    raise ManifestError(f"{path}:{lineno}: {key} must be a string")
+            caps = obj["captions"]
+            if not (isinstance(caps, list) and len(caps) == 5
+                    and all(isinstance(c, str) for c in caps)):
+                raise ManifestError(f"{path}:{lineno}: captions: expected 5 captions, "
+                                    "a list of strings")
+            weight = obj.get("weight", 1)
+            if isinstance(weight, bool) or not isinstance(weight, int) or weight < 1:
+                raise ManifestError(f"{path}:{lineno}: weight must be an integer >= 1")
             records.append(CaptionRecord(
                 id=obj["id"], pathA=obj["pathA"], pathB=obj["pathB"],
-                captions=obj["captions"], split=obj.get("split", "train"),
+                captions=caps, split=obj.get("split", "train"),
                 source=obj.get("source", "synthetic"), weight=weight))
     return records
 

@@ -28,6 +28,9 @@ class EncoderConfig:
 
     def __post_init__(self):
         self.tap_indices = tuple(sorted(self.tap_indices))
+        for name in ("image_size", "patch_size", "d_model", "heads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.image_size % self.patch_size:
             raise ValueError("image_size must be divisible by patch_size")
         if self.d_model % self.heads:
@@ -58,7 +61,10 @@ class FeaturePyramid:
 
 
 def patch_embed(store, image, cfg: EncoderConfig):
-    """[..., H, W, 3] images -> [..., N, d] patch tokens with learned positions."""
+    """[..., H, W, 3] image arrays -> [..., N, d] patch tokens with learned
+    positions. Images are inputs that are never trained, so they are cut
+    into patches as plain arrays."""
+    image = np.asarray(image, dtype=np.float64)
     *lead, h, w, c = image.shape
     if h != cfg.image_size or w != cfg.image_size or c != 3:
         raise T.ShapeError(
@@ -67,9 +73,8 @@ def patch_embed(store, image, cfg: EncoderConfig):
         )
     p = cfg.patch_size
     n_side = cfg.image_size // p
-    patches = T.reshape(image, (*lead, n_side, p, n_side, p, 3))
-    patches = T.swapaxes(patches, -4, -3)
-    patches = T.reshape(patches, (*lead, cfg.num_patches, cfg.patch_dim))
+    patches = image.reshape(*lead, n_side, p, n_side, p, 3).swapaxes(-4, -3)
+    patches = patches.reshape(*lead, cfg.num_patches, cfg.patch_dim)
     tokens = nn.linear(store, "encoder.patch", patches, cfg.patch_dim, cfg.d_model)
     pos = store.param("encoder.pos", (cfg.num_patches, cfg.d_model), init="embed")
     return tokens + pos
@@ -89,8 +94,6 @@ def encode_image(store, image, cfg: EncoderConfig):
 
 
 def encode_pair(store, image1, image2, cfg: EncoderConfig) -> FeaturePyramid:
-    image1 = T.as_tensor(image1)
-    image2 = T.as_tensor(image2)
     outs1 = encode_image(store, image1, cfg)
     outs2 = encode_image(store, image2, cfg)
     pyr = FeaturePyramid(taps={}, residual=None)

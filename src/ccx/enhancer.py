@@ -26,6 +26,9 @@ class EnhancerConfig:
     def __post_init__(self):
         if self.num_catl_layers < 1:
             raise ValueError("need at least one change-aware layer")
+        for name in ("d_model", "heads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.heads:
             raise ValueError("d_model must be divisible by heads")
         if self.score_concat not in ("t1t2", "t1t1"):
@@ -39,15 +42,11 @@ class EnhancedFeatures:
     scores: dict = field(default_factory=dict)  # offset -> [..., 1, 1] gate
 
 
-def _require_same_shape(f1, f2):
-    if f1.shape != f2.shape:
-        raise T.ShapeError(f"feature pair shapes differ: {f1.shape} vs {f2.shape}")
-
-
 def change_feature_init(store, name, f1, f2, d):
     """Gated difference seed: both streams gated by a shared 2d->d map,
     then (F1g, F2g, F1g-F2g) projected 3d->d."""
-    _require_same_shape(f1, f2)
+    if f1.shape != f2.shape:
+        raise T.ShapeError(f"feature pair shapes differ: {f1.shape} vs {f2.shape}")
     gate1 = T.sigmoid(nn.linear(store, f"{name}.gate", T.concat([f1, f2], axis=-1), 2 * d, d))
     gate2 = T.sigmoid(nn.linear(store, f"{name}.gate", T.concat([f2, f1], axis=-1), 2 * d, d))
     f1g = f1 * gate1
@@ -66,7 +65,6 @@ def _sublayer_attn(store, name, q, kv, d, heads):
 
 def change_aware_layer(store, name, f1, f2, cfg: EnhancerConfig):
     """One change-aware transformer layer -> (F1~, F2~, dF)."""
-    _require_same_shape(f1, f2)
     d = cfg.d_model
     df = change_feature_init(store, f"{name}.init", f1, f2, d)
     # difference self-interaction

@@ -101,7 +101,7 @@ def attention(store, name, q_in, kv_in, d, heads, mask=None, cache=None):
     so it is refused while a graph is being recorded. The call records
     five nodes: the q, k, v and output linears and one ``T.attend`` node
     that splits and merges the heads itself. Returns (output, probs) where
-    probs is a constant tensor (no graph) of shape [..., heads, Tq, Tk];
+    probs is ``T.attend``'s plain array of shape [..., heads, Tq, Tk];
     the returned probs are how callers audit an attention site (tests wrap
     ``nn.attention`` to record every site).
     """
@@ -111,7 +111,7 @@ def attention(store, name, q_in, kv_in, d, heads, mask=None, cache=None):
     if cache is not None:
         k, v = _cached_rows(cache, name, k, v)
     ctx, probs = T.attend(q, k, v, heads, 1.0 / math.sqrt(d // heads), mask)
-    return linear(store, f"{name}.o", ctx, d, d), T.Tensor(probs)
+    return linear(store, f"{name}.o", ctx, d, d), probs
 
 
 def _cached_rows(cache, name, k, v):
@@ -149,16 +149,14 @@ def encoder_block(store, name, x, d, heads, mlp_hidden):
     return x
 
 
-def global_grad_norm(params):
-    total = 0.0
+def clip_grads(params, max_norm):
+    """Scale every gradient by max_norm / norm when their global L2 norm
+    exceeds ``max_norm``; returns the norm before clipping."""
+    total = 0.0  # not sum(): Python 3.12's sum() of floats is compensated
     for p in params:
         if p.tensor.grad is not None:
             total += float((p.tensor.grad**2).sum())
-    return math.sqrt(total)
-
-
-def clip_grads(params, max_norm):
-    norm = global_grad_norm(params)
+    norm = math.sqrt(total)
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
         for p in params:

@@ -368,20 +368,6 @@ def attend(q, k, v, heads, scale, mask=None):
     return _node(_merge_heads(o), (q, k, v), bwd), p
 
 
-def log_softmax(a, axis=-1):
-    a = as_tensor(a)
-    m = a.data.max(axis=axis, keepdims=True)
-    shifted = a.data - m
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
-    sm = np.exp(out)
-
-    def bwd(g):
-        _accum(a, g - sm * g.sum(axis=axis, keepdims=True))
-
-    return _node(out, (a,), bwd)
-
-
 def layer_norm(x, gain, bias, eps=1e-5):
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
@@ -456,21 +442,6 @@ def tmean(a, axis=None, keepdims=False):
     return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
-def reshape(a, shape):
-    a = as_tensor(a)
-
-    def bwd(g):
-        _accum(a, g.reshape(a.data.shape))
-
-    return _node(a.data.reshape(shape), (a,), bwd)
-
-
-def swapaxes(a, i, j):
-    """Swap axes ``i`` and ``j``; the backward of a swap is the same swap."""
-    a = as_tensor(a)
-    return _unary(a, np.swapaxes(a.data, i, j), lambda g: np.swapaxes(g, i, j))
-
-
 def _scatter_add(shape, index, g):
     """Zeros of ``shape`` with ``g`` added at ``index``, repeats summed."""
     full = np.zeros(shape)
@@ -485,8 +456,32 @@ def embed(table, ids):
     return _unary(table, table.data[ids], lambda g: _scatter_add(table.shape, ids, g))
 
 
-def take_pairs(a, rows, cols):
-    """Pick a[rows[j], cols[j]] for each j from a rank-2 tensor."""
-    a = as_tensor(a)
-    index = (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))
-    return _unary(a, a.data[index], lambda g: _scatter_add(a.shape, index, g))
+def nll(logits, rows, targets, weights):
+    """Weighted negative log-likelihood as one node: −Σ_j w_j · log
+    softmax(z_{rows[j]})[targets[j]] over the rows z of ``logits`` [..., V]
+    read as [-1, V].
+
+    Only the scored rows are normalized; the backward scatter-adds
+    (softmax − onehot)·w·g of each of them into a zero gradient of the
+    logits' shape, so a repeated row accumulates.
+    """
+    logits = as_tensor(logits)
+    rows, targets = np.asarray(rows, dtype=np.int64), np.asarray(targets, dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if rows.ndim != 1 or targets.shape != rows.shape or weights.shape != rows.shape:
+        raise ShapeError(f"nll: rows {rows.shape}, targets {targets.shape} and weights "
+                         f"{weights.shape} must be vectors of one length")
+    flat = logits.data.reshape(-1, logits.shape[-1])
+    logp = flat[rows]
+    logp -= logp.max(axis=-1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
+    picks = (np.arange(rows.size), targets)
+
+    def bwd(g):
+        wg = weights * g
+        d = np.exp(logp)
+        d *= wg[:, None]
+        d[picks] -= wg
+        _accum(logits, _scatter_add(flat.shape, rows, d).reshape(logits.shape))
+
+    return _node(-(logp[picks] * weights).sum(), (logits,), bwd)

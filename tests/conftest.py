@@ -17,7 +17,7 @@ def record_attention(monkeypatch):
 
         def attention(store, name, *args, **kwargs):
             out, probs = real(store, name, *args, **kwargs)
-            sites.append((name, probs.data))
+            sites.append((name, probs))
             return out, probs
 
         with monkeypatch.context() as m:

@@ -29,19 +29,22 @@ def dec_cfg():
     return DecoderConfig(c_model=C, depth=2, heads=2, max_len=10)
 
 
-def _features(seed, n=N, width=C, grad=False):
+def _features(seed, n=N, width=C, grad=False, lead=()):
     r = Rng(seed)
-    return (T.Tensor(r.normal((n, width)), requires_grad=grad),
-            T.Tensor(r.normal((n, width)), requires_grad=grad))
+    return (T.Tensor(r.normal((*lead, n, width)), requires_grad=grad),
+            T.Tensor(r.normal((*lead, n, width)), requires_grad=grad))
 
 
 def _assemble_one(store, f1, f2, layout, vocab, cfg, caption):
-    """``assemble_sequence`` on a batch of one pair, with the batch axis
-    dropped again: (seq [T, c], positions, targets, weights)."""
-    seq, rows, targets, weights = bridge.assemble_sequence(
-        store, T.reshape(f1, (1, *f1.shape)), T.reshape(f2, (1, *f2.shape)),
-        layout, vocab, cfg, [caption])
-    return T.reshape(seq, seq.shape[1:]), rows, targets, weights
+    """``assemble_sequence`` on features [1, N, c] and one caption:
+    (seq [1, T, c], positions, targets, weights)."""
+    return bridge.assemble_sequence(store, f1, f2, layout, vocab, cfg, [caption])
+
+
+def _sequence(store, layout, vocab, cfg, caption):
+    """One pair's embedded sequence [T, c] as a constant, from feature seed 17."""
+    seq, *_ = _assemble_one(store, *_features(17, lead=(1,)), layout, vocab, cfg, caption)
+    return T.Tensor(seq.data[0])
 
 
 def _mean(positions):
@@ -126,47 +129,47 @@ class TestProjector:
 
 class TestAssemble:
     def test_mask_count_and_length(self, store, vocab, dec_cfg):
-        f1, f2 = _features(6)
+        f1, f2 = _features(6, lead=(1,))
         caption = vocab.encode("a road is built at the center") + [EOS]
         layout = PromptLayout.build(vocab, N)
         seq, positions, targets, _ = _assemble_one(
             store, f1, f2, layout, vocab, dec_cfg, caption)
         assert len(positions) == len(caption)
-        assert seq.shape == (layout.expanded_len + len(caption), C)
+        assert seq.shape == (1, layout.expanded_len + len(caption), C)
         assert list(targets) == caption
 
     def test_caption_too_long(self, store, vocab, dec_cfg):
-        f1, f2 = _features(7)
+        f1, f2 = _features(7, lead=(1,))
         layout = PromptLayout.build(vocab, N)
         with pytest.raises(ValueError, match="max_len"):
             _assemble_one(store, f1, f2, layout, vocab, dec_cfg,
                           [3] * (dec_cfg.max_len + 1))
 
     def test_feature_span_mismatch(self, store, vocab, dec_cfg):
-        f1, f2 = _features(8, n=N + 1)
+        f1, f2 = _features(8, n=N + 1, lead=(1,))
         layout = PromptLayout.build(vocab, N)
         with pytest.raises(T.ShapeError):
             _assemble_one(store, f1, f2, layout, vocab, dec_cfg, [EOS])
 
     def test_swapping_features_touches_only_spans(self, store, vocab, dec_cfg):
-        f1, f2 = _features(9)
+        f1, f2 = _features(9, lead=(1,))
         layout = PromptLayout.build(vocab, N)
         a, *_ = _assemble_one(store, f1, f2, layout, vocab, dec_cfg, [EOS])
         b, *_ = _assemble_one(store, f2, f1, layout, vocab, dec_cfg, [EOS])
-        diff = np.abs(a.data - b.data).sum(axis=-1) > 0
-        in_span = np.zeros(a.shape[0], dtype=bool)
+        diff = np.abs(a.data[0] - b.data[0]).sum(axis=-1) > 0
+        in_span = np.zeros(a.shape[1], dtype=bool)
         for start, length in (layout.span1, layout.span2):
             in_span[start:start + length] = True
         assert not diff[~in_span].any()
 
     def test_feature_gradient_confined_to_its_span(self, store, vocab, dec_cfg):
-        f1, f2 = _features(10, grad=True)
+        f1, f2 = _features(10, grad=True, lead=(1,))
         layout = PromptLayout.build(vocab, N)
         seq, *_ = _assemble_one(store, f1, f2, layout, vocab, dec_cfg, [EOS])
         up = Rng(11).normal(seq.shape)
         T.tsum(seq * T.Tensor(up)).backward()
         s1 = layout.span1
-        np.testing.assert_array_equal(f1.grad, up[s1[0]:s1[0] + s1[1]])
+        np.testing.assert_array_equal(f1.grad, up[:, s1[0]:s1[0] + s1[1]])
 
 
 class TestDecodeLoss:
@@ -207,7 +210,7 @@ class TestDecodeLoss:
         assert loss == pytest.approx(acc / 3, abs=1e-12)
 
     def test_gradcheck_through_decoder(self, store, vocab, dec_cfg):
-        f1, f2 = _features(13, grad=True)
+        f1, f2 = _features(13, grad=True, lead=(1,))
         layout = PromptLayout.build(vocab, N)
         caption = vocab.encode("there is no change") + [EOS]
 
@@ -224,7 +227,7 @@ class TestDecodeLoss:
 
 class TestCausality:
     def test_later_tokens_cannot_affect_earlier_logits(self, store, vocab, dec_cfg):
-        f1, f2 = _features(14)
+        f1, f2 = _features(14, lead=(1,))
         layout = PromptLayout.build(vocab, N)
         caption = vocab.encode("a road is built at the center") + [EOS]
         seq, pos, _, _ = _assemble_one(
@@ -232,11 +235,11 @@ class TestCausality:
         base = bridge.decoder_forward(store, seq, len(vocab), layout, dec_cfg).data
         j = pos[3]  # perturb the 4th caption input embedding
         bumped = seq.data.copy()
-        bumped[j] += 0.7
+        bumped[0, j] += 0.7
         out = bridge.decoder_forward(store, T.Tensor(bumped), len(vocab),
                                      layout, dec_cfg).data
-        np.testing.assert_array_equal(out[:j], base[:j])
-        assert np.abs(out[j:] - base[j:]).max() > 0
+        np.testing.assert_array_equal(out[:, :j], base[:, :j])
+        assert np.abs(out[:, j:] - base[:, j:]).max() > 0
 
 
 class TestGenerate:
@@ -309,11 +312,9 @@ class TestCachedGenerate:
     def test_cached_rows_match_full_pass(self, store, vocab, dec_cfg):
         """Feeding a sequence in two chunks through one cache gives the
         logits of a single full pass over it."""
-        f1, f2 = _features(17)
         layout = PromptLayout.build(vocab, N)
         caption = vocab.encode("a road is built at the center") + [EOS]
-        seq, *_ = _assemble_one(
-            store, f1, f2, layout, vocab, dec_cfg, caption)
+        seq = _sequence(store, layout, vocab, dec_cfg, caption)
         full = bridge.decoder_forward(store, seq, len(vocab), layout, dec_cfg).data
         cut = layout.expanded_len + 2
         cache = {}
@@ -328,10 +329,9 @@ class TestCachedGenerate:
     def test_regrown_buffer_matches_full_pass(self, store, vocab, dec_cfg):
         """A one-row first call sizes each buffer to two rows; the next call
         overflows it, and the regrown buffer still gives the full pass."""
-        f1, f2 = _features(17)
         layout = PromptLayout.build(vocab, N)
         caption = vocab.encode("a road is built at the center") + [EOS]
-        seq, *_ = _assemble_one(store, f1, f2, layout, vocab, dec_cfg, caption)
+        seq = _sequence(store, layout, vocab, dec_cfg, caption)
         t = seq.shape[0]
         cache = {}
         with T.no_grad():

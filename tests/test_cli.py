@@ -191,7 +191,19 @@ class TestTrainInputErrors:
         (_set_last_caption("a road is built " * 4), "", "17 tokens with <eos>, "
                                                          "over decoder.max_len 12"),
         (lambda obj: {**obj, "split": "test"}, "", "no records with split 'train'"),
-    ], ids=["malformed-line", "oov-word", "caption-too-long", "no-train-records"])
+        (lambda obj: obj, "[1, 2]\n", ":4: expected a JSON object, got list"),
+        (lambda obj: {**obj, "captions": [1, 2, 3, 4, 5]}, "",
+         ":1: captions: expected 5 captions, a list of strings"),
+        (lambda obj: {**obj, "captions": "abcde"}, "",
+         ":1: captions: expected 5 captions, a list of strings"),
+        (lambda obj: {**obj, "pathA": 5}, "", ":1: pathA must be a string"),
+        (lambda obj: {**obj, "id": None}, "", ":1: id must be a string"),
+        (lambda obj: {**obj, "source": ["x"]}, "", ":1: source must be a string"),
+        (lambda obj: {**obj, "weight": "x"}, "", ":1: weight must be an integer >= 1"),
+        (lambda obj: {**obj, "weight": 1.5}, "", ":1: weight must be an integer >= 1"),
+    ], ids=["malformed-line", "oov-word", "caption-too-long", "no-train-records",
+            "array-line", "caption-numbers", "captions-string", "pathA-number",
+            "id-null", "source-list", "weight-string", "weight-float"])
     def test_bad_manifest(self, trained, tmp_path, monkeypatch, capsys, edit, extra, message):
         manifest = _manifest_copy(trained, tmp_path / "manifest.jsonl", edit, extra)
         err = self._train(trained, tmp_path, monkeypatch, capsys,
@@ -330,7 +342,30 @@ class TestModelConfigErrors:
         ("encoder.taps = a,b", "encoder"),
         ("enhancer.heads = 3", "enhancer"),
         ("stage3.mode = sideways", "stage3.mode"),
-    ], ids=["decoder-heads", "encoder-taps", "enhancer-heads", "stage3-mode"])
+        ("encoder.heads = 0", "encoder"),
+        ("enhancer.heads = 0", "enhancer"),
+        ("decoder.heads = 0", "decoder"),
+        ("encoder.patch_size = 0", "encoder"),
+        ("encoder.patch_size = -4", "encoder"),
+        ("encoder.image_size = 0", "encoder"),
+        ("encoder.d_model = 0", "encoder"),
+        ("decoder.c_model = 0", "decoder"),
+        ("decoder.max_len = 0", "decoder"),
+        ("decoder.depth = -1", "decoder"),
+        ("stage1.batch_size = 0", "stage1.batch_size"),
+        ("stage1.epochs = -1", "stage1.epochs"),
+        ("stage1.base_lr = -1", "stage1.base_lr"),
+        ("stage2.base_lr = nan", "stage2.base_lr"),
+        ("train.grad_clip = -1", "train.grad_clip"),
+        ("train.grad_clip = 0", "train.grad_clip"),
+        ("train.weight_decay = -0.01", "train.weight_decay"),
+        ("train.encoder_lr_ratio = -0.2", "train.encoder_lr_ratio"),
+    ], ids=["decoder-heads", "encoder-taps", "enhancer-heads", "stage3-mode",
+            "encoder-heads-0", "enhancer-heads-0", "decoder-heads-0", "patch-size-0",
+            "patch-size-negative", "image-size-0", "encoder-width-0", "decoder-width-0",
+            "max-len-0", "decoder-depth-negative", "batch-size-0", "epochs-negative",
+            "base-lr-negative", "base-lr-nan", "grad-clip-negative", "grad-clip-0",
+            "weight-decay-negative", "encoder-lr-ratio-negative"])
     def test_usage_error(self, trained, tmp_path, capsys, command, lines, key):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(trained["config"].read_text()
