@@ -236,6 +236,7 @@ def write_manifest(records, path):
 
 def load_manifest(path):
     records = []
+    first_line = {}  # id -> the line that gave it
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -262,6 +263,9 @@ def load_manifest(path):
             weight = obj.get("weight", 1)
             if isinstance(weight, bool) or not isinstance(weight, int) or weight < 1:
                 raise ManifestError(f"{path}:{lineno}: weight must be an integer >= 1")
+            first = first_line.setdefault(obj["id"], lineno)
+            if first != lineno:
+                raise ManifestError(f"{path}:{lineno}: id {obj['id']!r} repeats line {first}")
             records.append(CaptionRecord(
                 id=obj["id"], pathA=obj["pathA"], pathB=obj["pathB"],
                 captions=caps, split=obj.get("split", "train"),

@@ -16,6 +16,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 
 from .bridge import word_tokens
 
@@ -62,13 +63,17 @@ class MetricReport:
 
 
 def make_corpus(items):
-    """items: iterable of (id, hyp_text, [ref_texts]) -> list of EvalEntry."""
+    """items: iterable of (id, hyp_text, [ref_texts]) -> list of EvalEntry.
+
+    Each distinct text is tokenized once; every entry gets lists of its own.
+    """
+    tokens = cache(word_tokens)
     corpus = []
     for id_, hyp, refs in items:
-        refs_tok = [word_tokens(r) for r in refs]
+        refs_tok = [list(tokens(r)) for r in refs]
         if not refs_tok or any(not r for r in refs_tok):
             raise ValueError(f"entry {id_}: every reference must be non-empty")
-        corpus.append(EvalEntry(str(id_), word_tokens(hyp), refs_tok))
+        corpus.append(EvalEntry(str(id_), list(tokens(hyp)), refs_tok))
     return corpus
 
 
@@ -78,20 +83,12 @@ def _counts(tokens, max_n):
             for n in range(1, max_n + 1)]
 
 
-def _count_table(max_n):
-    """A lookup of sentence -> ``_counts(sentence, max_n)`` that counts each
-    distinct sentence (its token tuple) once; callers build one per call
-    and must not mutate the counts it returns."""
-    table = {}
-
-    def counts(tokens):
-        key = tuple(tokens)
-        c = table.get(key)
-        if c is None:
-            c = table[key] = _counts(key, max_n)
-        return c
-
-    return counts
+def _keys(entry):
+    """An entry's hypothesis and reference set as tuples: the keys of the
+    ``functools.cache`` tables that BLEU and CIDEr-D build in each call, so
+    each repeated sentence, reference set and pair is scored once per call
+    and no table outlives it. Cached values are shared: never mutate them."""
+    return tuple(entry.hypothesis), tuple(map(tuple, entry.references))
 
 
 def _corpus_mean(corpus, entry_score):
@@ -114,19 +111,30 @@ def bleu(corpus, max_n=4):
     """Corpus BLEU-1..max_n with per-reference clipping, no smoothing."""
     if not corpus:
         raise ValueError("empty corpus")
-    counts_of = _count_table(max_n)
+    counts_of = cache(lambda sentence: _counts(sentence, max_n))
+
+    @cache
+    def max_counts(refs):
+        """Per n: each n-gram's largest count in any one reference."""
+        out = [{} for _ in range(max_n)]
+        for rc in map(counts_of, refs):
+            for best, counts in zip(out, rc):
+                for g, c in counts.items():
+                    if c > best.get(g, 0):
+                        best[g] = c
+        return out
+
     match = [0] * max_n
     total = [0] * max_n
     hyp_len = 0
     ref_len = 0
     for e in corpus:
-        h = e.hypothesis
+        h, refs = _keys(e)
         hyp_len += len(h)
         # closest reference length; ties go to the shorter reference
-        ref_len += min((abs(len(r) - len(h)), len(r)) for r in e.references)[1]
-        refs = [counts_of(r) for r in e.references]
-        for n, counts in enumerate(counts_of(h)):
-            match[n] += sum(min(c, max(rc[n][g] for rc in refs)) for g, c in counts.items())
+        ref_len += min((abs(len(r) - len(h)), len(r)) for r in refs)[1]
+        for n, (counts, clip) in enumerate(zip(counts_of(h), max_counts(refs))):
+            match[n] += sum(min(c, clip.get(g, 0)) for g, c in counts.items())
             total[n] += sum(counts.values())
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / max(hyp_len, 1))
     scores = []
@@ -141,15 +149,24 @@ def bleu(corpus, max_n=4):
     return scores
 
 
+def _lcs_len(hyp, ref):
+    """Length of the longest common subsequence, by the bit-parallel
+    recurrence of Allison-Dix and Hyyro: bit j of ``v`` is cleared when
+    the LCS of the hypothesis so far grows at reference position j."""
+    match = {}
+    for j, y in enumerate(ref):
+        match[y] = match.get(y, 0) | (1 << j)
+    mask = (1 << len(ref)) - 1
+    v = mask
+    for x in hyp:
+        u = v & match.get(x, 0)
+        v = ((v + u) | (v - u)) & mask
+    return len(ref) - v.bit_count()
+
+
 def _rouge_f(hyp, ref, beta):
     """LCS F-score of one hypothesis against one reference."""
-    prev = [0] * (len(ref) + 1)
-    for x in hyp:
-        cur = [0]
-        for j, y in enumerate(ref, 1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[-1]))
-        prev = cur
-    lcs = prev[-1]
+    lcs = _lcs_len(hyp, ref)
     if lcs == 0:
         return 0.0
     p = lcs / len(hyp)
@@ -201,42 +218,53 @@ def cider_d(corpus, max_n=4, sigma=6.0):
     reported value is the corpus mean x100.
     """
     require_entries(len(corpus))
-    counts_of = _count_table(max_n)
+    counts_of = cache(lambda sentence: _counts(sentence, max_n))
+
+    @cache
+    def ref_set_ngrams(refs):
+        """Per n: the n-grams in any reference of one set."""
+        return [set().union(*grams) for grams in zip(*map(counts_of, refs))]
+
     # document frequencies over reference sets
     df = [Counter() for _ in range(max_n)]
     for e in corpus:
-        refs = [counts_of(r) for r in e.references]
-        for n in range(max_n):
-            df[n].update(set().union(*(rc[n] for rc in refs)))
+        for df_n, grams in zip(df, ref_set_ngrams(_keys(e)[1])):
+            df_n.update(grams)
     log_docs = math.log(len(corpus))
     # idf per distinct n-gram; one in no reference set has its df of 0
     # clamped to 1, and log(1) = 0 leaves its idf log_docs
     idf = [{g: log_docs - math.log(d) for g, d in df_n.items()} for df_n in df]
-    tf_idf = {}
 
-    def vectors(tokens):
-        """Per n: the sentence's tf-idf vector and its norm, built once."""
-        key = tuple(tokens)
-        out = tf_idf.get(key)
-        if out is None:
-            out = tf_idf[key] = []
-            for idf_n, counts in zip(idf, counts_of(key)):
-                vec = {g: c * idf_n.get(g, log_docs) for g, c in counts.items()}
-                out.append((vec, math.sqrt(sum(v * v for v in vec.values()))))
+    @cache
+    def vectors(sentence):
+        """Per n: the sentence's tf-idf vector and its norm."""
+        out = []
+        for idf_n, counts in zip(idf, counts_of(sentence)):
+            vec = {g: c * idf_n.get(g, log_docs) for g, c in counts.items()}
+            out.append((vec, math.sqrt(sum(v * v for v in vec.values()))))
+        return out
+
+    @cache
+    def pair_terms(hyp, ref):
+        """Per n: the pair's length-penalized clipped tf-idf cosine; 0.0,
+        which leaves a non-negative sum's bits as they are, where a vector
+        is empty."""
+        delta = len(hyp) - len(ref)
+        penalty = math.exp(-(delta**2) / (2.0 * sigma**2))
+        out = []
+        for (hv, h_norm), (rv, r_norm) in zip(vectors(hyp), vectors(ref)):
+            num = sum(min(hv[g], rv[g]) * rv[g] for g in hv if g in rv)
+            denom = h_norm * r_norm
+            out.append(penalty * num / denom if denom > 0 else 0.0)
         return out
 
     def entry(e):
-        hyp = vectors(e.hypothesis)
+        h, refs = _keys(e)
         per_n = [0.0] * max_n
-        for r in e.references:
-            delta = len(e.hypothesis) - len(r)
-            penalty = math.exp(-(delta**2) / (2.0 * sigma**2))
-            for n, ((hv, h_norm), (rv, r_norm)) in enumerate(zip(hyp, vectors(r))):
-                num = sum(min(hv[g], rv[g]) * rv[g] for g in hv if g in rv)
-                denom = h_norm * r_norm
-                if denom > 0:
-                    per_n[n] += penalty * num / denom
-        return 10.0 * sum(s / len(e.references) for s in per_n) / max_n
+        for r in refs:
+            for n, term in enumerate(pair_terms(h, r)):
+                per_n[n] += term
+        return 10.0 * sum(s / len(refs) for s in per_n) / max_n
 
     return _corpus_mean(corpus, entry)
 

@@ -201,9 +201,10 @@ class TestTrainInputErrors:
         (lambda obj: {**obj, "source": ["x"]}, "", ":1: source must be a string"),
         (lambda obj: {**obj, "weight": "x"}, "", ":1: weight must be an integer >= 1"),
         (lambda obj: {**obj, "weight": 1.5}, "", ":1: weight must be an integer >= 1"),
+        (lambda obj: {**obj, "id": "pair0000"}, "", ":2: id 'pair0000' repeats line 1"),
     ], ids=["malformed-line", "oov-word", "caption-too-long", "no-train-records",
             "array-line", "caption-numbers", "captions-string", "pathA-number",
-            "id-null", "source-list", "weight-string", "weight-float"])
+            "id-null", "source-list", "weight-string", "weight-float", "repeated-id"])
     def test_bad_manifest(self, trained, tmp_path, monkeypatch, capsys, edit, extra, message):
         manifest = _manifest_copy(trained, tmp_path / "manifest.jsonl", edit, extra)
         err = self._train(trained, tmp_path, monkeypatch, capsys,

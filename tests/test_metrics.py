@@ -1,16 +1,20 @@
+import functools
+import importlib
 import json
 import math
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ccx import metrics
+from ccx import data, metrics
 from ccx.bridge import word_tokens
 from reference_metrics import ref_report
 
 DATA = Path(__file__).parent / "data"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # Published comparison table: (b4, meteor, rouge_l, cider_d, printed aggregate)
 PUBLISHED_ROWS = [
@@ -95,6 +99,35 @@ class TestRougeL:
     def test_disjoint(self):
         c = corpus([("0", "alpha beta", ["gamma delta"])])
         assert metrics.rouge_l(c) == 0.0
+
+
+def lcs_dp(a, b):
+    """Longest common subsequence length by the O(|a| |b|) table."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, 1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[-1]))
+        prev = cur
+    return prev[-1]
+
+
+# two token lists of length 0-80 over one alphabet of 3-5 symbols: matches
+# are common and the reference's bitmask runs past 64 bits
+token_pairs = st.sampled_from(["abc", "abcd", "abcde"]).flatmap(lambda symbols: st.tuples(
+    *[st.lists(st.sampled_from(symbols), max_size=80)] * 2))
+
+
+class TestBitParallelLcs:
+    @settings(max_examples=300, deadline=None)
+    @given(token_pairs)
+    @example(([], list("abcab")))
+    @example((list("abcab"), []))
+    @example(([], []))
+    @example((list("abc" * 27), list("cba" * 27)))
+    def test_matches_dp(self, pair):
+        hyp, ref = pair
+        assert metrics._lcs_len(hyp, ref) == lcs_dp(hyp, ref)
 
 
 class TestMeteor:
@@ -248,3 +281,71 @@ class TestSentenceTable:
                              for _, h, refs in items])
         for key, val in oracle.items():
             assert rep[key] == pytest.approx(val, abs=1e-9), key
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """name of each per-call cached function -> the keys it computed."""
+    keys = defaultdict(list)
+
+    def recording(fn):
+        def compute(*args):
+            keys[fn.__name__].append(args)
+            return fn(*args)
+        return functools.cache(compute)
+
+    monkeypatch.setattr(metrics, "cache", recording)
+    return keys
+
+
+# two reference sets, each used three times; the pair (POOL[0], POOL[0])
+# recurs in three entries
+REPEATS = [("0", POOL[0], POOL[:3]), ("1", POOL[0], POOL[:3]), ("2", POOL[1], POOL[:3]),
+           ("3", POOL[0], [POOL[0], POOL[4]]), ("4", "", [POOL[0], POOL[4]]),
+           ("5", POOL[4], [POOL[0], POOL[4]])]
+
+
+class TestPerCallTables:
+    """Each repeated reference set and pair is scored once within one call,
+    and nothing carries over to the next call."""
+
+    def test_bleu_builds_each_reference_set_once(self, computed):
+        c = corpus(REPEATS)
+        metrics.bleu(c)
+        built = computed["max_counts"]
+        assert sorted(built) == sorted({(tuple(map(tuple, e.references)),) for e in c})
+
+    def test_cider_d_scores_each_set_and_pair_once(self, computed):
+        c = corpus(REPEATS)
+        metrics.cider_d(c)
+        unions = computed["ref_set_ngrams"]
+        assert sorted(unions) == sorted({(tuple(map(tuple, e.references)),) for e in c})
+        pairs = computed["pair_terms"]
+        assert sorted(pairs) == sorted({(tuple(e.hypothesis), tuple(r))
+                                        for e in c for r in e.references})
+        assert len(pairs) < sum(len(e.references) for e in c)
+
+    def test_back_to_back_corpora_share_nothing(self):
+        # the second corpus repeats the first one's sentences under other
+        # document frequencies, so a table kept from the first call would
+        # give its reference sets the wrong idf
+        first = corpus(REPEATS)
+        second = corpus(REPEATS[:2] + [("6", POOL[2], [POOL[2], POOL[5]]),
+                                       ("7", POOL[5], [POOL[5], POOL[1]])])
+        metrics.evaluate(first)
+        rep = metrics.evaluate(second).to_dict()
+        oracle = ref_report([(e.hypothesis, e.references) for e in second])
+        for key, val in oracle.items():
+            assert rep[key] == pytest.approx(val, abs=1e-9), key
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reports_equal_benchmark_records(seed, tmp_path, monkeypatch):
+    """The benchmark's ckpt-metrics corpora score exactly their records."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    pool = data.generate_dataset(workloads.CORPUS_SCALE * workloads.N_PAIRS, seed, tmp_path,
+                                 image_size=workloads.default_config()["encoder.image_size"])
+    items = workloads.corpus_items(data.load_manifest(pool), seed)
+    recorded = json.loads(workloads.RECORDS.read_text())["ckpt-metrics"][str(seed)]
+    assert metrics.evaluate(metrics.make_corpus(items)).to_dict() == recorded
