@@ -198,7 +198,8 @@ def decoder_forward(store, seq, vocab_size, layout, cfg: DecoderConfig, cache=No
     cap = layout.expanded_len + 1 + cfg.max_len
     pos = store.param("decoder.pos", (cap, c), init="embed")
     x = seq + T.embed(pos, np.arange(start, start + t))
-    mask = np.triu(np.full((t, start + t), -1e30), k=start + 1)
+    # a single row may see every cached row: its mask would be all zeros
+    mask = np.triu(np.full((t, start + t), -1e30), k=start + 1) if t > 1 else None
     for i in range(cfg.depth):
         x = _decoder_block(store, f"decoder.block{i}", x, c, cfg.heads, mask, cache)
     x = nn.layer_norm(store, "decoder.ln_f", x, c)

@@ -1,9 +1,10 @@
 """Miniature ViT-style image encoder with multi-scale feature taps.
 
-Both temporal images pass through the same weights, independently; the
-pyramid collects post-block token features at a set of negative layer
-offsets (-1 = last block), plus the penultimate-style residual tap used
-downstream as the additive passthrough.
+Both temporal images pass through the same weights in one pass, stacked
+on a leading axis of 2; each image's tokens attend only within its own
+image. The pyramid collects post-block token features at a set of
+negative layer offsets (-1 = last block), plus the penultimate-style
+residual tap used downstream as the additive passthrough.
 """
 
 from __future__ import annotations
@@ -60,17 +61,23 @@ class FeaturePyramid:
     residual: tuple = None
 
 
-def patch_embed(store, image, cfg: EncoderConfig):
-    """[..., H, W, 3] image arrays -> [..., N, d] patch tokens with learned
-    positions. Images are inputs that are never trained, so they are cut
-    into patches as plain arrays."""
+def _image_array(image, cfg: EncoderConfig):
+    """``image`` as a float64 array [..., H, W, 3], checked against the config."""
     image = np.asarray(image, dtype=np.float64)
-    *lead, h, w, c = image.shape
-    if h != cfg.image_size or w != cfg.image_size or c != 3:
+    if image.shape[-3:] != (cfg.image_size, cfg.image_size, 3):
         raise T.ShapeError(
             f"image shape {image.shape} does not match config "
             f"({cfg.image_size},{cfg.image_size},3)"
         )
+    return image
+
+
+def patch_embed(store, image, cfg: EncoderConfig):
+    """[..., H, W, 3] image arrays -> [..., N, d] patch tokens with learned
+    positions. Images are inputs that are never trained, so they are cut
+    into patches as plain arrays."""
+    image = _image_array(image, cfg)
+    lead = image.shape[:-3]
     p = cfg.patch_size
     n_side = cfg.image_size // p
     patches = image.reshape(*lead, n_side, p, n_side, p, 3).swapaxes(-4, -3)
@@ -94,11 +101,15 @@ def encode_image(store, image, cfg: EncoderConfig):
 
 
 def encode_pair(store, image1, image2, cfg: EncoderConfig) -> FeaturePyramid:
-    outs1 = encode_image(store, image1, cfg)
-    outs2 = encode_image(store, image2, cfg)
-    pyr = FeaturePyramid(taps={}, residual=None)
-    for off in cfg.tap_indices:
-        pyr.taps[off] = (outs1[cfg.depth + off], outs2[cfg.depth + off])
-    k = cfg.depth + cfg.residual_index
-    pyr.residual = (outs1[k], outs2[k])
-    return pyr
+    """Both images [..., H, W, 3] stacked as [2, ..., H, W, 3] and encoded
+    in one pass; each block output that a tap or the residual reads is
+    split back into its (F1, F2) pair, once, so a residual that is also a
+    tap is the same pair of tensors."""
+    image1, image2 = _image_array(image1, cfg), _image_array(image2, cfg)
+    if image1.shape != image2.shape:
+        raise T.ShapeError(f"image pair shapes differ: {image1.shape} vs {image2.shape}")
+    outs = encode_image(store, np.stack([image1, image2]), cfg)
+    pairs = {off: T.unstack(outs[cfg.depth + off])
+             for off in {*cfg.tap_indices, cfg.residual_index}}
+    return FeaturePyramid(taps={off: pairs[off] for off in cfg.tap_indices},
+                          residual=pairs[cfg.residual_index])

@@ -192,10 +192,11 @@ def _binary(a, b, out_data, da, db):
 def _operands(a, b, name):
     """Both operands as tensors, after checking that their shapes broadcast."""
     a, b = as_tensor(a), as_tensor(b)
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} do not broadcast")
+    if a.shape != b.shape:  # equal shapes need no broadcast probe
+        try:
+            np.broadcast_shapes(a.shape, b.shape)
+        except ValueError:
+            raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} do not broadcast")
     return a, b
 
 
@@ -244,12 +245,13 @@ def linear(x, w, b):
 
 
 def sigmoid(a):
+    """1/(1+e) where x >= 0 and e/(1+e) elsewhere, with e = exp(-|x|), so
+    no exponent overflows. -|x| is formed as min(x, -x), which keeps a
+    NaN's sign bit as the NaN passes through."""
     a = as_tensor(a)
-    s = np.empty_like(a.data)
-    pos = a.data >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    e = np.exp(a.data[~pos])
-    s[~pos] = e / (1.0 + e)
+    e = np.exp(np.minimum(a.data, -a.data))
+    d = 1.0 + e
+    s = np.where(a.data >= 0, 1.0 / d, e / d)
     return _unary(a, s, lambda g: g * s * (1.0 - s))
 
 
@@ -318,9 +320,10 @@ def attend(q, k, v, heads, scale, mask=None):
     Tk] without enlarging them (0 = attend, large negative = blocked).
     ``scale`` is folded into the query heads before the score product; the
     scores are formed in one buffer, then masked and normalized in place,
-    so only the probabilities P and the unmerged per-head contexts O are
-    kept. Returns ``(context, P)``: the context [..., Tq, dv] as a tensor
-    whose parents are ``(q, k, v)``, and P [..., heads, Tq, Tk] as a plain
+    so only the probabilities P and the merged context are kept; the
+    backward reads the per-head contexts O as a view of that context.
+    Returns ``(context, P)``: the context [..., Tq, dv] as a tensor whose
+    parents are ``(q, k, v)``, and P [..., heads, Tq, Tk] as a plain
     array. The backward uses FlashAttention-2's identity dS = P ∘ (dP − D)
     with D = rowsum(dO ∘ O) per head, which equals rowsum(dP ∘ P) without a
     pass over P, applies ``scale`` to the dQ and dK products, and
@@ -334,10 +337,14 @@ def attend(q, k, v, heads, scale, mask=None):
     if q.shape[-1] % heads or v.shape[-1] % heads:
         raise ShapeError(f"attend: widths {q.shape[-1]} and {v.shape[-1]} "
                          f"not divisible by {heads} heads")
-    try:
-        scores = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
-        scores += (heads, q.shape[-2], k.shape[-2])
-        fits = mask is None or np.broadcast_shapes(scores, np.shape(mask)) == scores
+    lead = q.shape[:-2]
+    rows = (q.shape[-2], k.shape[-2])
+    try:  # tuple compares first: the broadcast probes run only on shapes that differ
+        if not lead == k.shape[:-2] == v.shape[:-2]:
+            lead = np.broadcast_shapes(lead, k.shape[:-2], v.shape[:-2])
+        scores = lead + (heads,) + rows
+        fits = (mask is None or np.shape(mask) == rows
+                or np.broadcast_shapes(scores, np.shape(mask)) == scores)
     except ValueError:
         fits = False
     if not fits:  # the mask is added in place, so it may not enlarge the scores
@@ -350,13 +357,13 @@ def attend(q, k, v, heads, scale, mask=None):
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    o = p @ vh
+    out = _merge_heads(p @ vh)
 
     def bwd(g):
         g = _split_heads(g, heads)
         _accum(v, _unbroadcast(_merge_heads(np.swapaxes(p, -1, -2) @ g), v.shape))
         ds = g @ np.swapaxes(vh, -1, -2)  # dP, then dS in place
-        ds -= (g * o).sum(axis=-1, keepdims=True)
+        ds -= (g * _split_heads(out, heads)).sum(axis=-1, keepdims=True)
         ds *= p
         dq = _merge_heads(ds @ kh)
         dq *= scale
@@ -365,7 +372,7 @@ def attend(q, k, v, heads, scale, mask=None):
         dk *= scale
         _accum(k, _unbroadcast(dk, k.shape))
 
-    return _node(_merge_heads(o), (q, k, v), bwd), p
+    return _node(out, (q, k, v), bwd), p
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
@@ -424,6 +431,21 @@ def concat(tensors, axis=0):
             _accum(t, piece)
 
     return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, bwd)
+
+
+def unstack(a):
+    """The slices a[0], a[1], ... along the first axis, one node each; a
+    slice's backward writes its gradient into zeros of ``a``'s shape."""
+    a = as_tensor(a)
+
+    def piece(i):
+        def da(g):
+            full = np.zeros(a.shape)
+            full[i] = g
+            return full
+        return _unary(a, a.data[i], da)
+
+    return tuple(piece(i) for i in range(a.shape[0]))
 
 
 def tsum(a, axis=None, keepdims=False):

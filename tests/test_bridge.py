@@ -309,6 +309,44 @@ class TestCachedGenerate:
         for got, want in zip(steps, want_steps, strict=True):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_one_row_steps_match_zero_mask_bitwise(self, vocab, monkeypatch, lead):
+        """A one-row step attends without a mask; the all-zero causal mask
+        it would otherwise add leaves every logit's bits as they are."""
+        cfg = DecoderConfig(c_model=C, depth=2, heads=2, max_len=10)
+        store = ParamStore(Rng(5))
+        f1, f2 = _features(15, lead=lead)
+        layout = PromptLayout.build(vocab, N)
+        real_forward, real_attend = bridge.decoder_forward, T.attend
+
+        def greedy_logits():
+            steps = []
+
+            def recording(*args):
+                logits = real_forward(*args)
+                steps.append(logits.data)
+                return logits
+
+            with monkeypatch.context() as m:
+                m.setattr(bridge, "decoder_forward", recording)
+                bridge.generate(store, f1, f2, layout, vocab, cfg)
+            return steps
+
+        plain = greedy_logits()
+        masked_calls = []
+
+        def zero_masked(q, k, v, heads, scale, mask=None):
+            if mask is None and q.shape[-2] == 1:
+                mask = np.zeros((1, k.shape[-2]))
+                masked_calls.append(mask)
+            return real_attend(q, k, v, heads, scale, mask)
+
+        monkeypatch.setattr(T, "attend", zero_masked)
+        masked = greedy_logits()
+        assert len(plain) > 2 and len(masked_calls) == cfg.depth * (len(plain) - 1)
+        for a, b in zip(plain, masked, strict=True):
+            assert a.tobytes() == b.tobytes()
+
     def test_cached_rows_match_full_pass(self, store, vocab, dec_cfg):
         """Feeding a sequence in two chunks through one cache gives the
         logits of a single full pass over it."""

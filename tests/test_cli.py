@@ -3,6 +3,7 @@ import os
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ccx import data, trainer
@@ -229,6 +230,60 @@ class TestTrainInputErrors:
         bad.write_bytes(bad.read_bytes()[:-4])
         err = self._train(trained, tmp_path, monkeypatch, capsys, "", resume=ckpt)
         assert err.startswith(f"error: {bad}: payload size")
+
+
+def _poison_first_value(path):
+    """Overwrite the first float32 value of the CCT1 file ``path`` with NaN."""
+    blob = bytearray(path.read_bytes())
+    start = 5 + 4 * blob[4]
+    blob[start:start + 4] = np.float32(np.nan).tobytes()
+    path.write_bytes(bytes(blob))
+
+
+class TestNonFiniteInputs:
+    """A NaN in a checkpoint or an image is one error line naming the file,
+    and exit 3, before any training step or caption."""
+
+    def _poisoned(self, trained, tmp_path, where):
+        """(config, checkpoint, manifest, poisoned file) with one NaN value."""
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(trained["checkpoint"], ckpt)
+        first = data.load_manifest(trained["manifest"])[0]
+        if where == "checkpoint":
+            bad = ckpt / "params" / "decoder.head.w.cct1"
+        else:
+            bad = tmp_path / "pixel.cct1"
+            shutil.copy(trained["manifest"].parent / first.pathA, bad)
+
+        def edit(obj):  # the poisoned image replaces the first record's image A
+            image = where == "image" and obj["id"] == first.id
+            return {**obj, "pathA": str(bad)} if image else obj
+
+        manifest = _manifest_copy(trained, tmp_path / "manifest.jsonl", edit)
+        _poison_first_value(bad)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(trained["config"].read_text() + f"train.out = {tmp_path / 'run'}\n"
+                       + f"data.manifest = {manifest}\n")
+        return cfg, ckpt, manifest, bad
+
+    @pytest.mark.parametrize("where", ["checkpoint", "image"])
+    @pytest.mark.parametrize("command", ["caption", "eval-metrics", "train"])
+    def test_nan_value_is_io_error(self, trained, tmp_path, capsys, monkeypatch,
+                                   command, where):
+        cfg, ckpt, manifest, bad = self._poisoned(trained, tmp_path, where)
+
+        def reached(*args):
+            raise AssertionError("a step or a caption ran on a non-finite input")
+
+        monkeypatch.setattr(AdamW, "step", reached)
+        monkeypatch.setattr(CaptionModel, "generate", reached)
+        args = {"caption": ["--checkpoint", str(ckpt), "--manifest", str(manifest),
+                            "--pair", "pair0000"],
+                "eval-metrics": ["--checkpoint", str(ckpt), "--manifest", str(manifest)],
+                "train": ["--resume", str(ckpt)] if where == "checkpoint" else []}[command]
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), *args]) == EXIT_IO
+        assert capsys.readouterr().err == f"error: {bad}: non-finite value in float32 payload\n"
 
 
 class TestCaption:

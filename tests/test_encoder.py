@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,11 @@ class TestPatchEmbed:
         with pytest.raises(T.ShapeError):
             encoder.patch_embed(store, np.zeros((8, 8, 3)), small_cfg)
 
+    @pytest.mark.parametrize("shape", [(16, 16), (48,), ()])
+    def test_rank_below_three_is_shape_error(self, store, small_cfg, shape):
+        with pytest.raises(T.ShapeError, match=rf"^image shape {re.escape(str(shape))} "):
+            encoder.patch_embed(store, np.zeros(shape), small_cfg)
+
     def test_gradcheck(self, store, small_cfg):
         img = _images(1, 16)[0]
         w = Rng(2).normal((small_cfg.num_patches, small_cfg.d_model))
@@ -102,6 +109,46 @@ class TestEncodePair:
         i1, i2 = _images(7, 16)
         pyr = encoder.encode_pair(store, i1, i2, small_cfg)
         assert pyr.residual[0].data.tobytes() == pyr.taps[-2][0].data.tobytes()
+        # one split per block: the residual pair is the tap's pair of tensors
+        assert pyr.residual[0] is pyr.taps[-2][0] and pyr.residual[1] is pyr.taps[-2][1]
+
+    @pytest.mark.parametrize("lead", [(), (1,), (8,)])
+    def test_taps_equal_per_image_encodings_bitwise(self, lead):
+        """One stacked pass gives each image's taps to the bit, as encoding
+        it alone does: the encoder is batch-invariant on this BLAS."""
+        cfg = encoder.EncoderConfig()
+        store = ParamStore(Rng(0))
+        r = Rng(9)
+        i1, i2 = (np.clip(0.5 + 0.3 * r.normal(lead + (32, 32, 3)), 0, 1) for _ in range(2))
+        pyr = encoder.encode_pair(store, i1, i2, cfg)
+        outs = [encoder.encode_image(store, img, cfg) for img in (i1, i2)]
+        for off, pair in [*pyr.taps.items(), (cfg.residual_index, pyr.residual)]:
+            for got, per_image in zip(pair, outs, strict=True):
+                assert got.shape == lead + (64, 32)
+                assert got.data.tobytes() == per_image[cfg.depth + off].data.tobytes()
+
+    def test_gradcheck_through_stacked_pass(self, store, small_cfg):
+        i1, i2 = _images(10, 16)
+        w1, w2 = (Rng(11 + k).normal((small_cfg.num_patches, small_cfg.d_model))
+                  for k in range(2))
+
+        def build():
+            pyr = encoder.encode_pair(store, i1, i2, small_cfg)
+            f1, f2 = pyr.taps[-3]
+            return T.tsum(f1 * T.Tensor(w1)) + T.tsum(f2 * T.Tensor(w2))
+
+        build()
+        names = ("encoder.patch.w", "encoder.block0.attn.q.w", "encoder.block1.mlp.fc1.w")
+        errs = finite_diff_check(build, {n: store.params[n].tensor for n in names},
+                                 max_entries=8)
+        assert max(errs.values()) < 1e-5
+
+    def test_each_image_checked_before_stacking(self, store, small_cfg):
+        good = np.zeros((16, 16, 3))
+        with pytest.raises(T.ShapeError, match=r"^image shape \(8, 8, 3\) does not match"):
+            encoder.encode_pair(store, good, np.zeros((8, 8, 3)), small_cfg)
+        with pytest.raises(T.ShapeError, match="image pair shapes differ"):
+            encoder.encode_pair(store, good, np.zeros((2, 16, 16, 3)), small_cfg)
 
     def test_tap_choice_does_not_change_computation(self):
         i1, i2 = _images(8, 16)

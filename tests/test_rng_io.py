@@ -1,5 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ccx.rng import Rng
 from ccx.tensor_io import FormatError, read_cct1, write_cct1
@@ -89,3 +94,67 @@ class TestCCT1:
         p.write_bytes(p.read_bytes()[:-4])
         with pytest.raises(FormatError, match="payload"):
             read_cct1(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_refused_on_read(self, tmp_path, bad):
+        p = tmp_path / "t.cct1"
+        write_cct1(p, np.array([[1.0, 2.0], [3.0, 4.0]]))
+        blob = bytearray(p.read_bytes())
+        blob[-8:-4] = np.float32(bad).tobytes()
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"^{p}: non-finite"):
+            read_cct1(p)
+
+    @pytest.mark.parametrize("dims", [(65536,) * 4, (2**32 - 1, 2**32 - 1)])
+    def test_dims_product_does_not_wrap(self, tmp_path, dims):
+        p = tmp_path / "t.cct1"
+        p.write_bytes(b"CCT1" + bytes([len(dims)]) + struct.pack(f"<{len(dims)}I", *dims))
+        n = int(np.prod(np.array(dims, dtype=object)))
+        with pytest.raises(FormatError, match=f"^{p}: payload size 0 != {4 * n}$"):
+            read_cct1(p)
+
+    def test_rank_beyond_numpy_refused(self, tmp_path):
+        p = tmp_path / "t.cct1"
+        p.write_bytes(b"CCT1" + bytes([70]) + struct.pack("<70I", *(1,) * 70) + bytes(4))
+        with pytest.raises(FormatError, match=f"^{p}: "):
+            read_cct1(p)
+
+
+_arrays = hnp.arrays(np.float32, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                                  max_side=4),
+                     elements=st.floats(width=32, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_arrays, st.data())
+def test_read_of_mutated_blob_rewrites_stably_or_raises(tmp_path_factory, array, draw):
+    """A read of a corrupted CCT1 file (truncated, a byte flipped, the rank
+    or a dim or value rewritten, bytes appended) either returns an array
+    that writes back to the same bytes, or raises FormatError; nothing else."""
+    path = tmp_path_factory.mktemp("fuzz") / "t.cct1"
+    write_cct1(path, array)
+    blob = bytearray(path.read_bytes())
+    kind = draw.draw(st.sampled_from(["truncate", "flip", "rank", "word", "append"]))
+    if kind == "truncate":
+        blob = blob[:draw.draw(st.integers(0, len(blob) - 1))]
+    elif kind == "flip":
+        blob[draw.draw(st.integers(0, len(blob) - 1))] ^= draw.draw(st.integers(1, 255))
+    elif kind == "rank":
+        blob[4] = draw.draw(st.integers(0, 255))
+    elif kind == "word":  # a dim or a payload value, rewritten
+        at = 5 + 4 * draw.draw(st.integers(0, (len(blob) - 5) // 4 - 1))
+        word = draw.draw(st.one_of(st.integers(0, 8).map(lambda n: struct.pack("<I", n)),
+                                   st.binary(min_size=4, max_size=4),
+                                   st.floats(width=32).map(lambda x: struct.pack("<f", x)),
+                                   st.sampled_from([b"\x00\x00\xc0\x7f", b"\x00\x00\x80\x7f",
+                                                    b"\x00\x00\x80\xff"])))  # NaN, ±inf
+        blob[at:at + 4] = word
+    else:
+        blob += draw.draw(st.binary(min_size=1, max_size=12))
+    path.write_bytes(bytes(blob))
+    try:
+        back = read_cct1(path)
+    except FormatError:
+        return
+    write_cct1(path, back)
+    assert path.read_bytes() == bytes(blob)

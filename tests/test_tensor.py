@@ -109,11 +109,76 @@ class TestElementwise:
         with pytest.raises(T.ShapeError):
             T.add(T.Tensor(np.ones(3)), T.Tensor(np.ones(4)))
 
+    def test_sigmoid_matches_boolean_index_formula_bitwise(self):
+        edges = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 5e-324, -5e-324,
+                          1e-310, -1e-310, 745.2, -745.2, np.nan, -np.nan])
+        r = Rng(6)
+        for x in (edges, 4.0 * r.normal((64, 32)), 4.0 * r.normal((8, 64, 32)),
+                  np.array(-3.5)):
+            assert T.sigmoid(T.Tensor(x)).data.tobytes() == _sigmoid_by_sign(x).tobytes()
+
     @pytest.mark.parametrize("op", [T.sigmoid, T.gelu])
     def test_gradcheck_unary(self, op):
         x = T.Tensor(Rng(4).normal((2, 5)), requires_grad=True)
         w = Rng(5).normal((2, 5))
         fd_check(lambda: T.tsum(op(x) * T.Tensor(w)), {"x": x})
+
+
+def _sigmoid_by_sign(x):
+    """The stable sigmoid computed on each sign's entries by boolean indexing."""
+    x = np.asarray(x, dtype=np.float64)
+    s = np.empty_like(x)
+    pos = x >= 0
+    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    s[~pos] = e / (1.0 + e)
+    return s
+
+
+_dims = st.lists(st.integers(1, 3), max_size=3).map(tuple)
+
+
+def _broadcasts(*shapes):
+    try:
+        np.broadcast_shapes(*shapes)
+    except ValueError:
+        return False
+    return True
+
+
+class TestShapeChecks:
+    """The shape checks compare tuples before probing a broadcast; they
+    raise exactly when numpy's broadcasting rules refuse the shapes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_dims, _dims, st.sampled_from([T.add, T.sub, T.mul]))
+    def test_binary_ops_raise_exactly_when_shapes_do_not_broadcast(self, a, b, op):
+        x, y = T.Tensor(np.ones(a)), T.Tensor(np.ones(b))
+        if _broadcasts(a, b):
+            assert op(x, y).shape == np.broadcast_shapes(a, b)
+        else:
+            with pytest.raises(T.ShapeError, match="do not broadcast"):
+                op(x, y)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_dims, _dims, _dims, st.integers(1, 3), st.integers(1, 3),
+           st.one_of(st.none(), st.just("rows"), st.lists(st.integers(1, 3), max_size=4)))
+    def test_attend_raises_exactly_when_shapes_do_not_broadcast(self, lq, lk, lv, tq, tk,
+                                                                  mask):
+        mask = (tq, tk) if mask == "rows" else None if mask is None else tuple(mask)
+        fits = _broadcasts(lq, lk, lv)
+        if fits and mask is not None:
+            scores = np.broadcast_shapes(lq, lk, lv) + (1, tq, tk)
+            fits = _broadcasts(scores, mask) and np.broadcast_shapes(scores, mask) == scores
+        args = (T.Tensor(np.ones(lq + (tq, 2))), T.Tensor(np.ones(lk + (tk, 2))),
+                T.Tensor(np.ones(lv + (tk, 2))), 1, 1.0,
+                None if mask is None else np.zeros(mask))
+        if fits:
+            ctx, p = T.attend(*args)
+            assert ctx.shape == np.broadcast_shapes(lq, lk, lv) + (tq, 2)
+        else:
+            with pytest.raises(T.ShapeError, match="do not broadcast"):
+                T.attend(*args)
 
 
 def _softmax_rows(z):
@@ -192,6 +257,29 @@ def _attend_grads_reference(q, k, v, heads, scale, mask, g):
             merge(np.swapaxes(p, -1, -2) @ gh))
 
 
+def _attend_grads_from_unmerged_context(q, k, v, heads, scale, mask, g):
+    """dQ, dK and dV by T.attend's backward, with D = rowsum(dO ∘ O) read
+    from a separately kept copy of the unmerged per-head contexts O."""
+    qh, kh, vh = (T._split_heads(x, heads) for x in (q, k, v))
+    p = (qh * scale) @ np.swapaxes(kh, -1, -2)
+    if mask is not None:
+        p += mask
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    o = p @ vh
+    g = T._split_heads(g, heads)
+    dv = T._merge_heads(np.swapaxes(p, -1, -2) @ g)
+    ds = g @ np.swapaxes(vh, -1, -2)
+    ds -= (g * o).sum(axis=-1, keepdims=True)
+    ds *= p
+    dq = T._merge_heads(ds @ kh)
+    dq *= scale
+    dk = T._merge_heads(np.swapaxes(ds, -1, -2) @ qh)
+    dk *= scale
+    return tuple(T._unbroadcast(d, x.shape) for d, x in ((dq, q), (dk, k), (dv, v)))
+
+
 class TestAttend:
     def _check(self, qshape, kshape, mask, seed, heads=1, dv=3):
         r = Rng(seed)
@@ -233,6 +321,29 @@ class TestAttend:
                                        _causal(20, 20), g)
         for got, ref in zip((q.grad, k.grad, v.grad), want):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("qshape,kshape,heads,causal", [
+        ((1, 8), (5, 8), 2, False),  # one row, as a cached decode step
+        ((2, 1, 8), (2, 6, 8), 4, False),
+        ((4, 8), (4, 8), 2, True),
+        ((2, 3, 5, 8), (2, 3, 5, 8), 4, True),  # 4-D, as a stacked image pair
+        ((2, 2, 3, 4), (2, 5, 4), 1, False),  # broadcast leading axes
+        ((8, 20, 48), (8, 20, 48), 4, True),
+        ((3, 7, 12), (3, 9, 12), 3, True),
+    ])
+    def test_backward_reads_context_bitwise(self, qshape, kshape, heads, causal):
+        """The backward's D from a head-split view of the returned context
+        equals D from a kept copy of the unmerged contexts, to the bit."""
+        r = Rng(len(qshape) + 10 * heads)
+        q, k, v = (r.normal(shape) for shape in (qshape, kshape, kshape))
+        mask = _causal(qshape[-2], kshape[-2]) if causal else None
+        leaves = [T.Tensor(x, requires_grad=True) for x in (q, k, v)]
+        ctx, _ = T.attend(*leaves, heads, 0.35, mask)
+        g = r.normal(ctx.shape)
+        ctx.backward(g)
+        want = _attend_grads_from_unmerged_context(q, k, v, heads, 0.35, mask, g)
+        for leaf, ref in zip(leaves, want, strict=True):
+            assert leaf.grad.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("heads", [2, 3, 4])
     def test_heads_match_per_head_reference_bitwise(self, heads):
@@ -424,6 +535,23 @@ class TestConcatPool:
             return T.tsum(T.tmean(T.concat([a, b], axis=-1), axis=0) * T.Tensor(w))
 
         fd_check(build, {"a": a, "b": b})
+
+
+class TestUnstack:
+    def test_slices_and_their_gradients(self):
+        x = T.Tensor(Rng(18).normal((2, 3, 4)), requires_grad=True)
+        a, b = T.unstack(x)
+        assert a.data.tobytes() == x.data[0].tobytes()
+        assert b.data.tobytes() == x.data[1].tobytes()
+        ga, gb = Rng(19).normal((3, 4)), Rng(20).normal((3, 4))
+        (T.tsum(a * T.Tensor(ga)) + T.tsum(b * T.Tensor(gb))).backward()
+        assert x.grad.tobytes() == np.stack([ga, gb]).tobytes()
+
+    def test_unread_slice_gets_zero_gradient(self):
+        x = T.Tensor(Rng(21).normal((3, 2)), requires_grad=True)
+        _, b, _ = T.unstack(x)
+        T.tsum(b).backward()
+        np.testing.assert_array_equal(x.grad, [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
 
 
 class TestEmbedNll:
