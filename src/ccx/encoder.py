@@ -37,8 +37,11 @@ class EncoderConfig:
         if self.d_model % self.heads:
             raise ValueError("d_model must be divisible by heads")
         for off in self.tap_indices:
-            if self.depth + off < 0:
-                raise ValueError(f"tap offset {off} exceeds depth {self.depth}")
+            if not -self.depth <= off <= -1:
+                raise ValueError(f"tap offset {off} is outside [-{self.depth}, -1] "
+                                 f"for depth {self.depth}")
+        if len(set(self.tap_indices)) != len(self.tap_indices):
+            raise ValueError(f"tap offsets repeat: {self.tap_indices}")
         if self.residual_index not in set(self.tap_indices) | {-2}:
             raise ValueError("residual_index must be a tap offset or -2")
         if self.depth + self.residual_index < 0:

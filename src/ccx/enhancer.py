@@ -4,7 +4,8 @@ Per feature tap, a stack of change-aware layers builds an explicit
 difference stream and injects it back into both temporal streams; a
 scalar gate per tap and sample then mixes the enhanced taps on top of the
 penultimate-layer residual features. All taps share the same weights
-and are processed independently of each other.
+and are processed independently of each other, so ``enhance`` stacks
+them on a leading axis and runs the change-aware stack once.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class EnhancerConfig:
 
 @dataclass
 class EnhancedFeatures:
-    per_tap: dict = field(default_factory=dict)  # offset -> (F1~, F2~, dF)
+    per_tap: dict = field(default_factory=dict)  # offset -> (F1~, F2~, dF) views
     fused: tuple = None  # (F1', F2')
     scores: dict = field(default_factory=dict)  # offset -> [..., 1, 1] gate
 
@@ -130,9 +131,11 @@ def enhance(store, pyramid, cfg: EnhancerConfig) -> EnhancedFeatures:
     if not cfg.enabled:
         return EnhancedFeatures(per_tap={}, fused=(res1, res2), scores={})
     out = EnhancedFeatures()
-    for off in sorted(pyramid.taps):
-        f1, f2 = pyramid.taps[off]
-        out.per_tap[off] = diff_expert(store, f1, f2, cfg)
+    offs = sorted(pyramid.taps)
+    f1, f2 = (T.stack([pyramid.taps[off][i] for off in offs]) for i in (0, 1))
+    # the stacked (F1~, F2~, dF), each read back as one view per tap
+    per_stream = [T.unstack(t) for t in diff_expert(store, f1, f2, cfg)]
+    out.per_tap = dict(zip(offs, zip(*per_stream)))
     f1p, f2p, out.scores = adaptive_adjustment(store, out.per_tap, pyramid.residual, cfg)
     out.fused = (f1p, f2p)
     return out

@@ -35,11 +35,12 @@ class ParamStore:
         self.params: dict[str, Parameter] = {}
 
     def param(self, name, shape, init="zeros", fan_in=None):
-        if name in self.params:
-            p = self.params[name]
-            if p.tensor.shape != tuple(shape):
+        p = self.params.get(name)
+        if p is not None:
+            stored = p.tensor.data.shape
+            if stored != shape and stored != tuple(shape):  # shape may be a list
                 raise T.ShapeError(
-                    f"parameter {name}: requested {tuple(shape)}, stored {p.tensor.shape}"
+                    f"parameter {name}: requested {tuple(shape)}, stored {stored}"
                 )
             return p.tensor
         group = name.split(".", 1)[0]

@@ -182,9 +182,9 @@ def _unary(a, out_data, da):
 def _binary(a, b, out_data, da, db):
     def bwd(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(da(g), a.shape))
+            _accum(a, _unbroadcast(da(g), a.data.shape))
         if b.requires_grad:
-            _accum(b, _unbroadcast(db(g), b.shape))
+            _accum(b, _unbroadcast(db(g), b.data.shape))
 
     return _node(out_data, (a, b), bwd)
 
@@ -192,11 +192,12 @@ def _binary(a, b, out_data, da, db):
 def _operands(a, b, name):
     """Both operands as tensors, after checking that their shapes broadcast."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:  # equal shapes need no broadcast probe
+    sa, sb = a.data.shape, b.data.shape
+    if sa != sb:  # equal shapes need no broadcast probe
         try:
-            np.broadcast_shapes(a.shape, b.shape)
+            np.broadcast_shapes(sa, sb)
         except ValueError:
-            raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} do not broadcast")
+            raise ShapeError(f"{name}: shapes {sa} and {sb} do not broadcast")
     return a, b
 
 
@@ -224,22 +225,23 @@ def linear(x, w, b):
     gradient.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.data.ndim < 2 or w.data.ndim != 2:
-        raise ShapeError(f"linear needs x of rank>=2 and a rank-2 w, got {x.shape} @ {w.shape}")
-    if x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"linear inner mismatch: {x.shape} @ {w.shape}")
-    if b.shape != w.shape[1:]:
-        raise ShapeError(f"linear bias {b.shape} does not match {w.shape}")
+    xs, ws, bs = x.data.shape, w.data.shape, b.data.shape
+    if len(xs) < 2 or len(ws) != 2:
+        raise ShapeError(f"linear needs x of rank>=2 and a rank-2 w, got {xs} @ {ws}")
+    if xs[-1] != ws[0]:
+        raise ShapeError(f"linear inner mismatch: {xs} @ {ws}")
+    if bs != ws[1:]:
+        raise ShapeError(f"linear bias {bs} does not match {ws}")
     out = x.data @ w.data
     out += b.data
 
     def bwd(g):
         if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.shape))
+            _accum(b, _unbroadcast(g, bs))
         if x.requires_grad:
             _accum(x, g @ w.data.T)
         if w.requires_grad:
-            _accum(w, _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape))
+            _accum(w, _unbroadcast(x.data.swapaxes(-1, -2) @ g, ws))
 
     return _node(out, (x, w, b), bwd)
 
@@ -300,13 +302,13 @@ def gelu(a):
 def _split_heads(x, heads):
     """[..., T, d] -> a [..., heads, T, d/heads] view."""
     *lead, t, d = x.shape
-    return np.swapaxes(x.reshape(*lead, t, heads, d // heads), -3, -2)
+    return x.reshape(*lead, t, heads, d // heads).swapaxes(-3, -2)
 
 
 def _merge_heads(x):
     """[..., heads, T, dh] -> a new [..., T, heads*dh] array."""
     *lead, heads, t, dh = x.shape
-    return np.swapaxes(x, -3, -2).reshape(*lead, t, heads * dh)
+    return x.swapaxes(-3, -2).reshape(*lead, t, heads * dh)
 
 
 def attend(q, k, v, heads, scale, mask=None):
@@ -330,28 +332,29 @@ def attend(q, k, v, heads, scale, mask=None):
     recomputes nothing.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    if min(q.data.ndim, k.data.ndim, v.data.ndim) < 2:
-        raise ShapeError(f"attend needs rank>=2 operands, got {q.shape}, {k.shape}, {v.shape}")
-    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"attend: q {q.shape}, k {k.shape} and v {v.shape} do not align")
-    if q.shape[-1] % heads or v.shape[-1] % heads:
-        raise ShapeError(f"attend: widths {q.shape[-1]} and {v.shape[-1]} "
+    qs, ks, vs = q.data.shape, k.data.shape, v.data.shape
+    if min(len(qs), len(ks), len(vs)) < 2:
+        raise ShapeError(f"attend needs rank>=2 operands, got {qs}, {ks}, {vs}")
+    if qs[-1] != ks[-1] or ks[-2] != vs[-2]:
+        raise ShapeError(f"attend: q {qs}, k {ks} and v {vs} do not align")
+    if qs[-1] % heads or vs[-1] % heads:
+        raise ShapeError(f"attend: widths {qs[-1]} and {vs[-1]} "
                          f"not divisible by {heads} heads")
-    lead = q.shape[:-2]
-    rows = (q.shape[-2], k.shape[-2])
+    lead = qs[:-2]
+    rows = (qs[-2], ks[-2])
     try:  # tuple compares first: the broadcast probes run only on shapes that differ
-        if not lead == k.shape[:-2] == v.shape[:-2]:
-            lead = np.broadcast_shapes(lead, k.shape[:-2], v.shape[:-2])
+        if not lead == ks[:-2] == vs[:-2]:
+            lead = np.broadcast_shapes(lead, ks[:-2], vs[:-2])
         scores = lead + (heads,) + rows
         fits = (mask is None or np.shape(mask) == rows
                 or np.broadcast_shapes(scores, np.shape(mask)) == scores)
     except ValueError:
         fits = False
     if not fits:  # the mask is added in place, so it may not enlarge the scores
-        raise ShapeError(f"attend: q {q.shape}, k {k.shape}, v {v.shape} and mask "
+        raise ShapeError(f"attend: q {qs}, k {ks}, v {vs} and mask "
                          f"{None if mask is None else np.shape(mask)} do not broadcast")
     qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
-    p = (qh * scale) @ np.swapaxes(kh, -1, -2)
+    p = (qh * scale) @ kh.swapaxes(-1, -2)
     if mask is not None:
         p += mask
     p -= p.max(axis=-1, keepdims=True)
@@ -361,16 +364,16 @@ def attend(q, k, v, heads, scale, mask=None):
 
     def bwd(g):
         g = _split_heads(g, heads)
-        _accum(v, _unbroadcast(_merge_heads(np.swapaxes(p, -1, -2) @ g), v.shape))
-        ds = g @ np.swapaxes(vh, -1, -2)  # dP, then dS in place
+        _accum(v, _unbroadcast(_merge_heads(p.swapaxes(-1, -2) @ g), vs))
+        ds = g @ vh.swapaxes(-1, -2)  # dP, then dS in place
         ds -= (g * _split_heads(out, heads)).sum(axis=-1, keepdims=True)
         ds *= p
         dq = _merge_heads(ds @ kh)
         dq *= scale
-        _accum(q, _unbroadcast(dq, q.shape))
-        dk = _merge_heads(np.swapaxes(ds, -1, -2) @ qh)
+        _accum(q, _unbroadcast(dq, qs))
+        dk = _merge_heads(ds.swapaxes(-1, -2) @ qh)
         dk *= scale
-        _accum(k, _unbroadcast(dk, k.shape))
+        _accum(k, _unbroadcast(dk, ks))
 
     return _node(out, (q, k, v), bwd), p
 
@@ -378,11 +381,10 @@ def attend(q, k, v, heads, scale, mask=None):
 def layer_norm(x, gain, bias, eps=1e-5):
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(
-            f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match width {d}"
-        )
+    d = x.data.shape[-1]
+    gs, bs = gain.data.shape, bias.data.shape
+    if gs != (d,) or bs != (d,):
+        raise ShapeError(f"layer_norm affine shapes {gs}/{bs} do not match width {d}")
     # np.mean's and np.var's arithmetic, with the centred rows formed once
     xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
     var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
@@ -397,9 +399,9 @@ def layer_norm(x, gain, bias, eps=1e-5):
         gx = None
         if gain.requires_grad:
             gx = g * xhat
-            _accum(gain, _unbroadcast(gx.sum(axis=lead), gain.shape))
+            _accum(gain, _unbroadcast(gx.sum(axis=lead), gs))
         if bias.requires_grad:
-            _accum(bias, _unbroadcast(g.sum(axis=lead), bias.shape))
+            _accum(bias, _unbroadcast(g.sum(axis=lead), bs))
         if not x.requires_grad:
             return
         gy = g * gain.data
@@ -431,6 +433,21 @@ def concat(tensors, axis=0):
             _accum(t, piece)
 
     return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, bwd)
+
+
+def stack(tensors):
+    """Tensors of one shape stacked on a new first axis, as one node: the
+    inverse of ``unstack``. Input i's gradient is the slice g[i]."""
+    tensors = tuple(as_tensor(t) for t in tensors)
+    if not tensors or any(t.data.shape != tensors[0].data.shape for t in tensors):
+        raise ShapeError(f"stack needs one or more tensors of one shape, "
+                         f"got {[t.shape for t in tensors]}")
+
+    def bwd(g):
+        for i, t in enumerate(tensors):
+            _accum(t, g[i])
+
+    return _node(np.stack([t.data for t in tensors]), tensors, bwd)
 
 
 def unstack(a):

@@ -396,6 +396,8 @@ class TestModelConfigErrors:
     @pytest.mark.parametrize("lines,key", [
         ("decoder.c_model = 10\ndecoder.heads = 4", "decoder"),
         ("encoder.taps = a,b", "encoder"),
+        ("encoder.depth = 3\nencoder.taps = -2,3", "encoder"),
+        ("encoder.taps = -2,-2", "encoder"),
         ("enhancer.heads = 3", "enhancer"),
         ("stage3.mode = sideways", "stage3.mode"),
         ("encoder.heads = 0", "encoder"),
@@ -416,7 +418,8 @@ class TestModelConfigErrors:
         ("train.grad_clip = 0", "train.grad_clip"),
         ("train.weight_decay = -0.01", "train.weight_decay"),
         ("train.encoder_lr_ratio = -0.2", "train.encoder_lr_ratio"),
-    ], ids=["decoder-heads", "encoder-taps", "enhancer-heads", "stage3-mode",
+    ], ids=["decoder-heads", "encoder-taps", "encoder-tap-past-depth",
+            "encoder-tap-repeated", "enhancer-heads", "stage3-mode",
             "encoder-heads-0", "enhancer-heads-0", "decoder-heads-0", "patch-size-0",
             "patch-size-negative", "image-size-0", "encoder-width-0", "decoder-width-0",
             "max-len-0", "decoder-depth-negative", "batch-size-0", "epochs-negative",

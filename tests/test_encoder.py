@@ -38,6 +38,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             encoder.EncoderConfig(depth=4, tap_indices=(-6, -2))
 
+    @pytest.mark.parametrize("taps", [(-2, 3), (0, -2), (-5, -2)],
+                             ids=["positive", "zero", "below-depth"])
+    def test_tap_offset_outside_depth_is_refused(self, taps):
+        with pytest.raises(ValueError, match=r"outside \[-4, -1\]"):
+            encoder.EncoderConfig(depth=4, tap_indices=taps)
+
+    def test_repeated_tap_offset_is_refused(self):
+        with pytest.raises(ValueError, match="repeat"):
+            encoder.EncoderConfig(depth=4, tap_indices=(-2, -2))
+
+    def test_every_offset_of_the_depth_is_accepted(self):
+        cfg = encoder.EncoderConfig(depth=4, tap_indices=(-1, -4, -3, -2))
+        assert cfg.tap_indices == (-4, -3, -2, -1)
+
     def test_residual_must_be_tap_or_penultimate(self):
         with pytest.raises(ValueError):
             encoder.EncoderConfig(depth=6, tap_indices=(-3, -2), residual_index=-4)

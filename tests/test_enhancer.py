@@ -278,3 +278,89 @@ class TestEnhance:
         tensors.update({p.name: p.tensor for p in store.group_params("enhancer")})
         errs = finite_diff_check(build, tensors, max_entries=3)
         assert max(errs.values()) < 1e-4
+
+
+def _stacked_pyramid(seed, taps, lead=(), grad=False):
+    """Taps drawn from ``seed``; the residual is tap -2's pair, as the
+    encoder gives it."""
+    r = Rng(seed)
+    pyr = FeaturePyramid(taps={}, residual=None)
+    for off in taps:
+        pyr.taps[off] = tuple(T.Tensor(r.normal((*lead, N, D)), requires_grad=grad)
+                              for _ in range(2))
+    pyr.residual = pyr.taps[-2]
+    return pyr
+
+
+def _per_tap_reference(store, pyr, cfg):
+    """``enhance`` as a loop of one ``diff_expert`` call per tap."""
+    per_tap = {off: enhancer.diff_expert(store, *pyr.taps[off], cfg)
+               for off in sorted(pyr.taps)}
+    f1p, f2p, scores = enhancer.adaptive_adjustment(store, per_tap, pyr.residual, cfg)
+    return enhancer.EnhancedFeatures(per_tap, (f1p, f2p), scores)
+
+
+TAP_SETS = [(-2,), (-5, -2), (-11, -8, -5, -2)]
+
+
+class TestStackedTaps:
+    """``enhance`` runs every tap in one stacked ``diff_expert`` call."""
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["unbatched", "batch3"])
+    @pytest.mark.parametrize("taps", TAP_SETS, ids=["1tap", "2taps", "4taps"])
+    def test_outputs_equal_per_tap_loop_bitwise(self, store, cfg, taps, lead):
+        pyr = _stacked_pyramid(70, taps, lead)
+        out = enhancer.enhance(store, pyr, cfg)
+        ref = _per_tap_reference(store, pyr, cfg)
+        assert list(out.per_tap) == sorted(taps) == list(out.scores)
+        for off in taps:
+            for got, want in zip(out.per_tap[off], ref.per_tap[off]):
+                assert got.data.tobytes() == want.data.tobytes()
+            assert out.scores[off].data.tobytes() == ref.scores[off].data.tobytes()
+        for got, want in zip(out.fused, ref.fused):
+            assert got.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["unbatched", "batch3"])
+    @pytest.mark.parametrize("taps", TAP_SETS, ids=["1tap", "2taps", "4taps"])
+    def test_gradients_match_per_tap_loop(self, taps, lead):
+        cfg = enhancer.EnhancerConfig(d_model=D, num_catl_layers=2, heads=2)
+        w1, w2 = Rng(71).normal((*lead, N, D)), Rng(72).normal((*lead, N, D))
+        grads = []
+        for run in (enhancer.enhance, _per_tap_reference):
+            store = ParamStore(Rng(77))
+            pyr = _stacked_pyramid(70, taps, lead, grad=True)
+            f1p, f2p = run(store, pyr, cfg).fused
+            (T.tsum(f1p * T.Tensor(w1)) + T.tsum(f2p * T.Tensor(w2))).backward()
+            got = {p.name: p.tensor.grad for p in store.group_params("enhancer")}
+            got.update({f"tap{off}.{i}": f.grad for off in taps
+                        for i, f in enumerate(pyr.taps[off])})
+            grads.append(got)
+        stacked, looped = grads
+        assert stacked.keys() == looped.keys()
+        largest = max(np.abs(g).max() for g in looped.values())
+        for name, want in looped.items():
+            # a key bias shifts each query's scores by a constant that the
+            # softmax removes, so its gradient is roundoff: compare it with
+            # the largest gradient instead of its own
+            scale = largest if name.endswith(".k.b") else np.abs(want).max()
+            assert np.abs(stacked[name] - want).max() <= 1e-13 * scale, name
+
+    def test_each_extra_tap_adds_few_tensors(self, store, cfg, monkeypatch):
+        created = []
+        init = T.Tensor.__init__
+
+        def counting(tensor, *args, **kwargs):
+            created.append(1)
+            init(tensor, *args, **kwargs)
+
+        counts = {}
+        for taps in TAP_SETS:
+            pyr = _stacked_pyramid(73, taps, grad=True)
+            enhancer.enhance(store, pyr, cfg)  # creates the parameters
+            monkeypatch.setattr(T.Tensor, "__init__", counting)
+            created.clear()
+            enhancer.enhance(store, pyr, cfg)
+            monkeypatch.setattr(T.Tensor, "__init__", init)
+            counts[len(taps)] = len(created)
+        assert counts[2] - counts[1] <= 20
+        assert counts[4] - counts[2] <= 2 * 20

@@ -554,6 +554,36 @@ class TestUnstack:
         np.testing.assert_array_equal(x.grad, [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
 
 
+class TestStack:
+    def test_values_equal_numpy_and_unstack_inverts(self):
+        xs = [T.Tensor(Rng(s).normal((3, 2, 4))) for s in (22, 23, 24)]
+        out = T.stack(xs)
+        assert out.data.tobytes() == np.stack([x.data for x in xs]).tobytes()
+        for x, y in zip(xs, T.unstack(out)):
+            assert y.data.tobytes() == x.data.tobytes()
+
+    def test_each_input_gets_its_slice(self):
+        a, b = _leaf(25, (2, 3)), _leaf(26, (2, 3))
+        g = Rng(27).normal((2, 2, 3))
+        T.stack([a, b]).backward(g)
+        assert a.grad.tobytes() == g[0].tobytes()
+        assert b.grad.tobytes() == g[1].tobytes()
+
+    def test_gradcheck_with_a_repeated_input(self):
+        a, b = _leaf(28, (3, 4)), _leaf(29, (3, 4))
+        w = Rng(30).normal((3, 3, 4))
+
+        def build():
+            return T.tsum(T.stack([a, b, a]) * T.Tensor(w))
+
+        fd_check(build, {"a": a, "b": b})
+
+    @pytest.mark.parametrize("shapes", [[(2, 3), (3, 2)], [(2, 3), (1, 2, 3)], []])
+    def test_mismatched_or_empty_is_shape_error(self, shapes):
+        with pytest.raises(T.ShapeError):
+            T.stack([T.Tensor(np.zeros(s)) for s in shapes])
+
+
 class TestEmbedNll:
     def test_embed_gradcheck(self):
         table = T.Tensor(Rng(19).normal((6, 4)), requires_grad=True)
@@ -668,6 +698,7 @@ def _every_op(x, w, v):
         "attend": (T.attend(x, x, x, 2, 0.5)[0], (x, x, x)),
         "layer_norm": (T.layer_norm(x, v, v), (x, v, v)),
         "concat": (T.concat([x, x], axis=0), (x, x)),
+        "stack": (T.stack([x, x]), (x, x)),
         "tsum": (T.tsum(x, axis=0), (x,)),
         "tmean": (T.tmean(x), (x,)),  # a scaled tsum: the tsum node keeps x
         "embed": (T.embed(x, [0, 2, 0]), (x,)),
@@ -685,7 +716,7 @@ class TestNoGrad:
             leaf = T.Tensor(np.zeros(2), requires_grad=True)
         constants = _every_op(*(T.Tensor(d) for d in data))
         for outs in (unrecorded, constants):
-            assert len(outs) == 13
+            assert len(outs) == 14
             for name, (y, _) in outs.items():
                 assert y._parents == () and y._backward is None, name
                 assert not y.requires_grad, name
