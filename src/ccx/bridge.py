@@ -129,12 +129,7 @@ def project(store, f1p, f2p, d, c):
     """Shared two-layer MLP (d->c, GELU, c->c) on both streams."""
     if f1p.shape[-1] != d or f2p.shape[-1] != d:
         raise T.ShapeError(f"projector expects width {d}, got {f1p.shape}/{f2p.shape}")
-
-    def one(x):
-        h = T.gelu(nn.linear(store, "projector.fc1", x, d, c))
-        return nn.linear(store, "projector.fc2", h, c, c)
-
-    return one(f1p), one(f2p)
+    return nn.mlp(store, "projector", f1p, d, c, c), nn.mlp(store, "projector", f2p, d, c, c)
 
 
 def _embed_ids(store, ids, vocab_size, c):
@@ -153,7 +148,7 @@ def assemble_sequence(store, f1h, f2h, layout: PromptLayout, vocab, cfg: Decoder
     <bos> w1..w_{M_b-1}, padded with <pad> to the longest, follow its
     prompt; ``rows`` index its positions prompt_len+j in seq flattened
     to [B*T, c], scored against ``targets`` captions[b][j], each with
-    weight 1/(B*M_b), so ``decode_loss`` is the mean of sample means.
+    weight 1/(B*M_b), so ``T.nll`` of them is the mean of sample means.
     """
     n = layout.n_tokens
     if f1h.shape[-2] != n or f2h.shape[-2] != n:
@@ -201,26 +196,9 @@ def decoder_forward(store, seq, vocab_size, layout, cfg: DecoderConfig, cache=No
     # a single row may see every cached row: its mask would be all zeros
     mask = np.triu(np.full((t, start + t), -1e30), k=start + 1) if t > 1 else None
     for i in range(cfg.depth):
-        x = _decoder_block(store, f"decoder.block{i}", x, c, cfg.heads, mask, cache)
+        x = nn.block(store, f"decoder.block{i}", x, c, cfg.heads, 4 * c, mask, cache)
     x = nn.layer_norm(store, "decoder.ln_f", x, c)
     return nn.linear(store, "decoder.head", x, c, vocab_size)
-
-
-def _decoder_block(store, name, x, c, heads, mask, cache):
-    h = nn.layer_norm(store, f"{name}.ln1", x, c)
-    a, _ = nn.attention(store, f"{name}.attn", h, h, c, heads, mask=mask, cache=cache)
-    x = x + a
-    x = x + nn.mlp(store, f"{name}.mlp", nn.layer_norm(store, f"{name}.ln2", x, c),
-                   c, 4 * c, c)
-    return x
-
-
-def decode_loss(logits, rows, targets, weights):
-    """Weighted NLL (one-hot CE) of ``targets`` at ``rows`` of ``logits``
-    [..., T, V] flattened to [-1, V]; see ``assemble_sequence``."""
-    if rows is None or len(rows) == 0:
-        raise ValueError("decode_loss needs a non-empty caption mask")
-    return T.nll(logits, rows, targets, weights)
 
 
 def generate(store, f1h, f2h, layout, vocab, cfg: DecoderConfig):

@@ -95,7 +95,7 @@ def cmd_gen_data(args):
 def cmd_train(args):
     try:
         cfg = cfgmod.load_config(args.config)
-    except (OSError, cfgmod.ConfigError) as exc:
+    except cfgmod.ConfigError as exc:
         return _error(exc, EXIT_USAGE)
     stages = (1, 2, 3) if args.stage == "all" else (int(args.stage),)
     try:

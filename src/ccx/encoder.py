@@ -97,8 +97,7 @@ def encode_image(store, image, cfg: EncoderConfig):
     x = patch_embed(store, image, cfg)
     outs = []
     for i in range(cfg.depth + max((*cfg.tap_indices, cfg.residual_index)) + 1):
-        x = nn.encoder_block(store, f"encoder.block{i}", x, cfg.d_model,
-                             cfg.heads, 4 * cfg.d_model)
+        x = nn.block(store, f"encoder.block{i}", x, cfg.d_model, cfg.heads, 4 * cfg.d_model)
         outs.append(x)
     return outs
 

@@ -5,7 +5,8 @@ difference stream and injects it back into both temporal streams; a
 scalar gate per tap and sample then mixes the enhanced taps on top of the
 penultimate-layer residual features. All taps share the same weights
 and are processed independently of each other, so ``enhance`` stacks
-them on a leading axis and runs the change-aware stack once.
+them on a leading axis and keeps them stacked through the change-aware
+stack, the gates and the mix.
 """
 
 from __future__ import annotations
@@ -38,9 +39,12 @@ class EnhancerConfig:
 
 @dataclass
 class EnhancedFeatures:
+    """``fused`` is the output; ``per_tap`` and ``scores`` are per-tap views
+    of the stacked tensors it was mixed from, for inspection only."""
+
     per_tap: dict = field(default_factory=dict)  # offset -> (F1~, F2~, dF) views
     fused: tuple = None  # (F1', F2')
-    scores: dict = field(default_factory=dict)  # offset -> [..., 1, 1] gate
+    scores: dict = field(default_factory=dict)  # offset -> [..., 1, 1] gate view
 
 
 def change_feature_init(store, name, f1, f2, d):
@@ -96,46 +100,36 @@ def diff_expert(store, f1, f2, cfg: EnhancerConfig):
 
 def tap_score(store, f1t, f2t, df, cfg: EnhancerConfig):
     """Gate in (0,1) from token-pooled concatenated features [..., N, d]:
-    one [..., 1, 1] score per sample, which broadcasts over its tokens."""
+    one [..., 1, 1] score per sample (and per tap, when the taps are
+    stacked), which broadcasts over its tokens."""
     d = cfg.d_model
     second = f1t if cfg.score_concat == "t1t1" else f2t
     pooled = T.tmean(T.concat([f1t, second, df], axis=-1), axis=-2, keepdims=True)
-    h = T.gelu(nn.linear(store, "enhancer.score.fc1", pooled, 3 * d, d))
-    return T.sigmoid(nn.linear(store, "enhancer.score.fc2", h, d, 1))
+    return T.sigmoid(nn.mlp(store, "enhancer.score", pooled, 3 * d, d, 1))
 
 
-def adaptive_adjustment(store, per_tap, residual, cfg: EnhancerConfig):
-    """Weighted sum of gated enhanced taps plus the residual pair."""
+def adaptive_adjustment(store, stacked, residual, cfg: EnhancerConfig):
+    """Gated sum of the stacked enhanced taps ``stacked`` = (F1~, F2~, dF),
+    each [K, ..., N, d], plus the residual pair [..., N, d]. Returns (F1',
+    F2', s) with the gates s [K, ..., 1, 1]; the sum over the tap axis
+    adds the taps in order."""
+    f1t, f2t, df = stacked
     res1, res2 = residual
-    if not per_tap:
-        raise ValueError("adaptive_adjustment needs at least one tap")
-    scores = {}
-    f1_sum = None
-    f2_sum = None
-    for off, (f1t, f2t, df) in per_tap.items():
-        if f1t.shape != res1.shape:
-            raise T.ShapeError(
-                f"tap {off} shape {f1t.shape} does not match residual {res1.shape}"
-            )
-        s = tap_score(store, f1t, f2t, df, cfg)
-        scores[off] = s
-        t1 = s * f1t
-        t2 = s * f2t
-        f1_sum = t1 if f1_sum is None else f1_sum + t1
-        f2_sum = t2 if f2_sum is None else f2_sum + t2
-    return f1_sum + res1, f2_sum + res2, scores
+    if f1t.shape[1:] != res1.shape:
+        raise T.ShapeError(f"taps of shape {f1t.shape[1:]} do not match "
+                           f"residual {res1.shape}")
+    s = tap_score(store, f1t, f2t, df, cfg)
+    return T.tsum(s * f1t, axis=0) + res1, T.tsum(s * f2t, axis=0) + res2, s
 
 
 def enhance(store, pyramid, cfg: EnhancerConfig) -> EnhancedFeatures:
     res1, res2 = pyramid.residual
     if not cfg.enabled:
         return EnhancedFeatures(per_tap={}, fused=(res1, res2), scores={})
-    out = EnhancedFeatures()
     offs = sorted(pyramid.taps)
     f1, f2 = (T.stack([pyramid.taps[off][i] for off in offs]) for i in (0, 1))
-    # the stacked (F1~, F2~, dF), each read back as one view per tap
-    per_stream = [T.unstack(t) for t in diff_expert(store, f1, f2, cfg)]
-    out.per_tap = dict(zip(offs, zip(*per_stream)))
-    f1p, f2p, out.scores = adaptive_adjustment(store, out.per_tap, pyramid.residual, cfg)
-    out.fused = (f1p, f2p)
-    return out
+    stacked = diff_expert(store, f1, f2, cfg)
+    f1p, f2p, s = adaptive_adjustment(store, stacked, pyramid.residual, cfg)
+    per_stream = [T.unstack(t) for t in stacked]
+    return EnhancedFeatures(per_tap=dict(zip(offs, zip(*per_stream))), fused=(f1p, f2p),
+                            scores=dict(zip(offs, T.unstack(s))))

@@ -52,7 +52,7 @@ class CaptionModel:
             self.store, f1h, f2h, self.layout, self.vocab, self.dec_cfg, captions)
         logits = bridge.decoder_forward(self.store, seq, len(self.vocab),
                                         self.layout, self.dec_cfg)
-        return bridge.decode_loss(logits, rows, targets, weights)
+        return T.nll(logits, rows, targets, weights)
 
     def generate(self, img1, img2):
         """Greedy caption (text, ids, truncated) of one pair [H, W, 3], or a

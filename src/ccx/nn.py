@@ -94,8 +94,8 @@ def attention(store, name, q_in, kv_in, d, heads, mask=None, cache=None):
     """Multi-head attention over token sequences [..., Tq, d] x [..., Tk, d]
     -> [..., Tq, d]; leading batch axes are carried through.
 
-    ``mask`` is an additive float array broadcastable to [Tq,Tk]
-    (0 = attend, large negative = blocked). With a ``cache`` dict, this
+    ``mask`` is None or an additive float array [Tq, Tk] (0 = attend,
+    large negative = blocked). With a ``cache`` dict, this
     call's keys and values are written into ``cache[name]``'s buffers (see
     ``_cached_rows``) and the queries attend over every row cached so far,
     so Tk counts the earlier calls' rows too; a cache carries no gradient,
@@ -141,10 +141,11 @@ def _cached_rows(cache, name, k, v):
     return T.Tensor(kbuf[..., :end, :]), T.Tensor(vbuf[..., :end, :])
 
 
-def encoder_block(store, name, x, d, heads, mlp_hidden):
-    """Pre-norm transformer block: x + attn(ln(x)), then x + mlp(ln(x))."""
+def block(store, name, x, d, heads, mlp_hidden, mask=None, cache=None):
+    """Pre-norm transformer block: x + attn(ln(x)), then x + mlp(ln(x)).
+    ``mask`` and ``cache`` go to the self-attention (see ``attention``)."""
     h = layer_norm(store, f"{name}.ln1", x, d)
-    a, _ = attention(store, f"{name}.attn", h, h, d, heads)
+    a, _ = attention(store, f"{name}.attn", h, h, d, heads, mask, cache)
     x = x + a
     x = x + mlp(store, f"{name}.mlp", layer_norm(store, f"{name}.ln2", x, d), d, mlp_hidden, d)
     return x

@@ -315,11 +315,11 @@ def attend(q, k, v, heads, scale, mask=None):
     """Multi-head scaled dot-product attention as one node: per head h,
     softmax(scale·q_h k_hᵀ + mask) v_h, with the heads' contexts merged.
 
-    ``q`` is [..., Tq, d], ``k`` [..., Tk, d] and ``v`` [..., Tk, dv]; their
-    leading axes broadcast, and head h owns columns h·d/heads to
-    (h+1)·d/heads of each (numpy views, no copies). ``mask`` is an
-    additive float array that broadcasts to the scores [..., heads, Tq,
-    Tk] without enlarging them (0 = attend, large negative = blocked).
+    ``q`` is [..., Tq, d], ``k`` [..., Tk, d] and ``v`` [..., Tk, dv], with
+    equal leading axes, and head h owns columns h·d/heads to
+    (h+1)·d/heads of each (numpy views, no copies). ``mask`` is None or
+    an additive float array [Tq, Tk] (0 = attend, large negative =
+    blocked).
     ``scale`` is folded into the query heads before the score product; the
     scores are formed in one buffer, then masked and normalized in place,
     so only the probabilities P and the merged context are kept; the
@@ -340,19 +340,9 @@ def attend(q, k, v, heads, scale, mask=None):
     if qs[-1] % heads or vs[-1] % heads:
         raise ShapeError(f"attend: widths {qs[-1]} and {vs[-1]} "
                          f"not divisible by {heads} heads")
-    lead = qs[:-2]
-    rows = (qs[-2], ks[-2])
-    try:  # tuple compares first: the broadcast probes run only on shapes that differ
-        if not lead == ks[:-2] == vs[:-2]:
-            lead = np.broadcast_shapes(lead, ks[:-2], vs[:-2])
-        scores = lead + (heads,) + rows
-        fits = (mask is None or np.shape(mask) == rows
-                or np.broadcast_shapes(scores, np.shape(mask)) == scores)
-    except ValueError:
-        fits = False
-    if not fits:  # the mask is added in place, so it may not enlarge the scores
-        raise ShapeError(f"attend: q {qs}, k {ks}, v {vs} and mask "
-                         f"{None if mask is None else np.shape(mask)} do not broadcast")
+    ms = None if mask is None else np.shape(mask)
+    if not qs[:-2] == ks[:-2] == vs[:-2] or ms not in (None, (qs[-2], ks[-2])):
+        raise ShapeError(f"attend: q {qs}, k {ks}, v {vs} and mask {ms} do not match")
     qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
     p = (qh * scale) @ kh.swapaxes(-1, -2)
     if mask is not None:
@@ -364,16 +354,16 @@ def attend(q, k, v, heads, scale, mask=None):
 
     def bwd(g):
         g = _split_heads(g, heads)
-        _accum(v, _unbroadcast(_merge_heads(p.swapaxes(-1, -2) @ g), vs))
+        _accum(v, _merge_heads(p.swapaxes(-1, -2) @ g))
         ds = g @ vh.swapaxes(-1, -2)  # dP, then dS in place
         ds -= (g * _split_heads(out, heads)).sum(axis=-1, keepdims=True)
         ds *= p
         dq = _merge_heads(ds @ kh)
         dq *= scale
-        _accum(q, _unbroadcast(dq, qs))
+        _accum(q, dq)
         dk = _merge_heads(ds.swapaxes(-1, -2) @ qh)
         dk *= scale
-        _accum(k, _unbroadcast(dk, ks))
+        _accum(k, dk)
 
     return _node(out, (q, k, v), bwd), p
 
@@ -500,9 +490,9 @@ def nll(logits, rows, targets, weights):
     softmax(z_{rows[j]})[targets[j]] over the rows z of ``logits`` [..., V]
     read as [-1, V].
 
-    Only the scored rows are normalized; the backward scatter-adds
-    (softmax − onehot)·w·g of each of them into a zero gradient of the
-    logits' shape, so a repeated row accumulates.
+    ``rows`` may not be empty. Only the scored rows are normalized; the
+    backward scatter-adds (softmax − onehot)·w·g of each of them into a
+    zero gradient of the logits' shape, so a repeated row accumulates.
     """
     logits = as_tensor(logits)
     rows, targets = np.asarray(rows, dtype=np.int64), np.asarray(targets, dtype=np.int64)
@@ -510,6 +500,8 @@ def nll(logits, rows, targets, weights):
     if rows.ndim != 1 or targets.shape != rows.shape or weights.shape != rows.shape:
         raise ShapeError(f"nll: rows {rows.shape}, targets {targets.shape} and weights "
                          f"{weights.shape} must be vectors of one length")
+    if not rows.size:
+        raise ShapeError("nll needs at least one scored row")
     flat = logits.data.reshape(-1, logits.shape[-1])
     logp = flat[rows]
     logp -= logp.max(axis=-1, keepdims=True)

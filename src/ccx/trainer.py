@@ -168,14 +168,33 @@ def load_params(model: CaptionModel, path):
         p.tensor.data = arr
 
 
+def read_state(path):
+    """The JSON object in checkpoint ``path``'s ``state`` file, whose ``t``
+    is an int and whose ``fingerprint``, if any, is a string."""
+    file = Path(path) / "state"
+    try:
+        state = json.loads(file.read_text())
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise FormatError(f"{file}: not JSON: {exc}") from None
+    if not isinstance(state, dict):
+        raise FormatError(f"{file}: expected a JSON object, got {type(state).__name__}")
+    if not isinstance(state.get("fingerprint", ""), str):
+        raise FormatError(f"{file}: fingerprint must be a string, "
+                          f"got {state['fingerprint']!r}")
+    t = state.get("t")
+    if not isinstance(t, int) or isinstance(t, bool):
+        raise FormatError(f"{file}: t must be an int, got {t!r}")
+    return state
+
+
 def load_checkpoint(model: CaptionModel, optimizer: AdamW, path):
     path = Path(path)
-    state = json.loads((path / "state").read_text())
+    state = read_state(path)
     load_params(model, path)
     for p in model.store.params.values():
         optimizer.m[p.name] = read_cct1(path / "optim" / f"{p.name}.m.cct1")
         optimizer.v[p.name] = read_cct1(path / "optim" / f"{p.name}.v.cct1")
-    optimizer.t = int(state["t"])
+    optimizer.t = state["t"]
     return state
 
 
@@ -203,7 +222,7 @@ def load_model(cfg, path):
     path = Path(path)
     model = build_model(cfg)
     load_params(model, path)
-    stored = json.loads((path / "state").read_text()).get("fingerprint")
+    stored = read_state(path).get("fingerprint")
     if stored is not None:
         have, want = _model_config(stored), _model_config(cfgmod.fingerprint(cfg))
         diff = [f"{k}={have.get(k)} (config: {want.get(k)})"

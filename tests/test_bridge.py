@@ -48,7 +48,7 @@ def _sequence(store, layout, vocab, cfg, caption):
 
 
 def _mean(positions):
-    """Weights that make ``decode_loss`` the plain mean over ``positions``."""
+    """Weights that make ``T.nll`` the plain mean over ``positions``."""
     return np.full(len(positions), 1.0 / len(positions))
 
 
@@ -173,10 +173,12 @@ class TestAssemble:
 
 
 class TestDecodeLoss:
+    """The caption loss, ``T.nll`` over the rows ``assemble_sequence`` scores."""
+
     def test_uniform_logits_is_log_vocab(self):
         v = 17
         logits = T.Tensor(np.zeros((5, v)))
-        loss = bridge.decode_loss(logits, np.array([2, 3]), np.array([4, 5]), _mean([2, 3]))
+        loss = T.nll(logits, np.array([2, 3]), np.array([4, 5]), _mean([2, 3]))
         assert loss.item() == pytest.approx(np.log(v), abs=1e-12)
 
     def test_saturated_logits_near_zero_loss(self):
@@ -185,21 +187,19 @@ class TestDecodeLoss:
         positions = np.array([0, 1])
         for p, t in zip(positions, targets):
             logits[p, t] = 30.0
-        loss = bridge.decode_loss(T.Tensor(logits), positions, targets, _mean(positions))
+        loss = T.nll(T.Tensor(logits), positions, targets, _mean(positions))
         assert loss.item() < 1e-10
 
     def test_empty_mask_raises(self):
-        with pytest.raises(ValueError, match="mask"):
-            bridge.decode_loss(T.Tensor(np.zeros((3, 5))), np.array([]), np.array([]),
-                               np.array([]))
+        with pytest.raises(T.ShapeError, match="at least one scored row"):
+            T.nll(T.Tensor(np.zeros((3, 5))), np.array([]), np.array([]), np.array([]))
 
     def test_matches_independent_one_hot_oracle(self):
         r = Rng(12)
         logits = r.normal((8, 11))
         positions = np.array([2, 4, 5])
         targets = np.array([1, 0, 10])
-        loss = bridge.decode_loss(T.Tensor(logits), positions, targets,
-                                  _mean(positions)).item()
+        loss = T.nll(T.Tensor(logits), positions, targets, _mean(positions)).item()
         # independent: explicit one-hot cross-entropy per position
         acc = 0.0
         for p, t in zip(positions, targets):
@@ -218,7 +218,7 @@ class TestDecodeLoss:
             seq, pos, tgt, w = _assemble_one(
                 store, f1, f2, layout, vocab, dec_cfg, caption)
             logits = bridge.decoder_forward(store, seq, len(vocab), layout, dec_cfg)
-            return bridge.decode_loss(logits, pos, tgt, w)
+            return T.nll(logits, pos, tgt, w)
 
         build()
         errs = finite_diff_check(build, {"f1": f1, "f2": f2}, max_entries=8)

@@ -108,6 +108,12 @@ class TestTrain:
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.cfg")]) == EXIT_USAGE
 
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "latin1.cfg"
+        p.write_bytes("# caf\xe9\n".encode("latin-1"))
+        assert main(["train", "--config", str(p)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {p}: not UTF-8 text\n"
+
     def test_unknown_key_is_usage_error(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("bogus.key = 1\n")
@@ -146,6 +152,23 @@ class TestTrain:
             assert (ck / "state").exists()
             assert (ck / "vocab.txt").exists()
             assert any((ck / "params").iterdir())
+
+
+CORRUPT_STATES = pytest.mark.parametrize("text,message", [
+    ("[]\n", "expected a JSON object, got list"),
+    ('{"t": 3, "fingerprint": 5}\n', "fingerprint must be a string, got 5"),
+    ('{"t": "3"}\n', "t must be an int, got '3'"),
+    ('{"t": true}\n', "t must be an int, got True"),
+    ("{not json\n", "not JSON: "),
+], ids=["list", "fingerprint-int", "t-string", "t-bool", "not-json"])
+
+
+def _corrupt_state(trained, tmp_path, text):
+    """A copy of the trained checkpoint whose ``state`` file holds ``text``."""
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(trained["checkpoint"], ckpt)
+    (ckpt / "state").write_text(text)
+    return ckpt
 
 
 def _manifest_copy(trained, path, edit=lambda obj: obj, extra=""):
@@ -222,6 +245,12 @@ class TestTrainInputErrors:
                           resume=trained["checkpoint"])
         assert err == (f"error: {trained['checkpoint']}: checkpoint was trained "
                        "with decoder.heads=2 (config: 4)\n")
+
+    @CORRUPT_STATES
+    def test_resume_corrupt_state(self, trained, tmp_path, monkeypatch, capsys, text, message):
+        ckpt = _corrupt_state(trained, tmp_path, text)
+        err = self._train(trained, tmp_path, monkeypatch, capsys, "", resume=ckpt)
+        assert err.startswith(f"error: {ckpt / 'state'}: {message}")
 
     def test_resume_malformed_cct1(self, trained, tmp_path, monkeypatch, capsys):
         ckpt = tmp_path / "ckpt"
@@ -352,6 +381,25 @@ class TestCaption:
                          "--pair", "pair0000"]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
+
+    @CORRUPT_STATES
+    @pytest.mark.parametrize("command", [["caption", "--pair", "pair0000"], ["eval-metrics"]])
+    def test_corrupt_state_io_error(self, trained, tmp_path, capsys, command, text, message):
+        ckpt = _corrupt_state(trained, tmp_path, text)
+        assert main([command[0], "--checkpoint", str(ckpt),
+                     "--config", str(trained["config"]), "--manifest", str(trained["manifest"]),
+                     *command[1:]]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt / 'state'}: {message}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["caption", "--pair", "pair0000"], ["eval-metrics"]])
+    def test_missing_config_is_usage_error(self, trained, tmp_path, capsys, command):
+        cfg = tmp_path / "nope.cfg"
+        assert main([command[0], "--checkpoint", str(trained["checkpoint"]),
+                     "--config", str(cfg), "--manifest", str(trained["manifest"]),
+                     *command[1:]]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {cfg}: No such file or directory\n"
 
     def _caption_with_new_images(self, trained, tmp_path, image_size, drop_image=False):
         datadir = tmp_path / "data"

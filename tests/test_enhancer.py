@@ -156,65 +156,58 @@ class TestDiffExpert:
             assert x.data.tobytes() == y.data.tobytes()
 
 
-class TestAdaptiveAdjustment:
-    def _per_tap(self, store, cfg, seeds=(20, 21)):
-        per_tap = {}
-        for off, seed in zip((-5, -2), seeds):
-            f1, f2 = _pair(seed, n=N)
-            per_tap[off] = (f1, f2, _pair(seed + 100)[0])
-        return per_tap
+def _stacked_taps(seeds, n=N, grad=False):
+    """Stacked enhanced taps (F1~, F2~, dF), each [K, n, D], one tap per seed."""
+    taps = [(*_pair(seed, n=n), _pair(seed + 100, n=n)[0]) for seed in seeds]
+    return tuple(T.Tensor(np.stack([tap[i].data for tap in taps]), requires_grad=grad)
+                 for i in range(3))
 
+
+class TestAdaptiveAdjustment:
     def test_scores_are_scalars_in_unit_interval(self, store, cfg):
-        per_tap = {off: (_pair(s)[0], _pair(s)[1], _pair(s + 50)[0])
-                   for off, s in zip((-11, -8, -5, -2), (30, 31, 32, 33))}
-        res = _pair(40)
-        f1p, f2p, scores = enhancer.adaptive_adjustment(store, per_tap, res, cfg)
-        assert len(scores) == 4
-        for s in scores.values():
-            assert s.shape == (1, 1)
-            assert 0.0 < s.item() < 1.0
+        stacked = _stacked_taps((30, 31, 32, 33))
+        f1p, f2p, s = enhancer.adaptive_adjustment(store, stacked, _pair(40), cfg)
+        assert s.shape == (4, 1, 1)
+        assert f1p.shape == f2p.shape == (N, D)
+        assert np.all((0.0 < s.data) & (s.data < 1.0))
 
     def test_zero_score_limit_is_residual_passthrough(self, store, cfg):
-        per_tap = self._per_tap(store, cfg)
+        stacked = _stacked_taps((20, 21))
         res = _pair(41)
-        enhancer.adaptive_adjustment(store, per_tap, res, cfg)
+        enhancer.adaptive_adjustment(store, stacked, res, cfg)
         store.params["enhancer.score.fc2.b"].tensor.data[...] = -60.0
-        f1p, _, scores = enhancer.adaptive_adjustment(store, per_tap, res, cfg)
-        assert all(s.item() < 1e-20 for s in scores.values())
+        f1p, _, s = enhancer.adaptive_adjustment(store, stacked, res, cfg)
+        assert np.all(s.data < 1e-20)
         np.testing.assert_allclose(f1p.data, res[0].data, atol=1e-15)
 
     def test_residual_structure_exact(self, store, cfg):
-        per_tap = self._per_tap(store, cfg)
+        stacked = _stacked_taps((20, 21))
         res = _pair(42)
-        f1p, f2p, scores = enhancer.adaptive_adjustment(store, per_tap, res, cfg)
-        acc = None
-        for off in per_tap:
-            term = scores[off].item() * per_tap[off][0].data
-            acc = term if acc is None else acc + term
-        assert f1p.data.tobytes() == (acc + res[0].data).tobytes()
+        f1p, f2p, s = enhancer.adaptive_adjustment(store, stacked, res, cfg)
+        for out, taps, r in ((f1p, stacked[0], res[0]), (f2p, stacked[1], res[1])):
+            acc = None
+            for k in range(len(taps.data)):
+                term = s.data[k].item() * taps.data[k]
+                acc = term if acc is None else acc + term
+            assert out.data.tobytes() == (acc + r.data).tobytes()
 
     def test_shape_mismatch(self, store, cfg):
-        per_tap = {-2: (_pair(43, n=2)[0], _pair(43, n=2)[1], _pair(44, n=2)[0])}
-        with pytest.raises(T.ShapeError):
-            enhancer.adaptive_adjustment(store, per_tap, _pair(45, n=N), cfg)
+        with pytest.raises(T.ShapeError, match="do not match residual"):
+            enhancer.adaptive_adjustment(store, _stacked_taps((43,), n=2), _pair(45, n=N), cfg)
 
     def test_gradcheck(self, store, cfg):
-        f1a, f2a = _pair(46, grad=True)
-        f1b, f2b = _pair(47, grad=True)
-        da, _ = _pair(48, grad=True)
-        db, _ = _pair(49, grad=True)
+        stacked = _stacked_taps((46, 47), grad=True)
         res = _pair(50)
-        per_tap = {-5: (f1a, f2a, da), -2: (f1b, f2b, db)}
-        enhancer.adaptive_adjustment(store, per_tap, res, cfg)
+        enhancer.adaptive_adjustment(store, stacked, res, cfg)
         w = Rng(51).normal((N, D))
 
         def build():
-            f1p, _, _ = enhancer.adaptive_adjustment(store, per_tap, res, cfg)
+            f1p, _, _ = enhancer.adaptive_adjustment(store, stacked, res, cfg)
             return T.tsum(f1p * T.Tensor(w))
 
-        tensors = {"f1a": f1a, "f2a": f2a, "da": da, "f1b": f1b,
-                   "w1": store.params["enhancer.score.fc2.w"].tensor,
-                   "w2": store.params["enhancer.score.fc1.w"].tensor}
+        tensors = dict(zip(("f1t", "f2t", "df"), stacked))
+        tensors.update({"w1": store.params["enhancer.score.fc2.w"].tensor,
+                        "w2": store.params["enhancer.score.fc1.w"].tensor})
         errs = finite_diff_check(build, tensors, max_entries=8)
         assert max(errs.values()) < 1e-5
 
@@ -293,18 +286,25 @@ def _stacked_pyramid(seed, taps, lead=(), grad=False):
 
 
 def _per_tap_reference(store, pyr, cfg):
-    """``enhance`` as a loop of one ``diff_expert`` call per tap."""
-    per_tap = {off: enhancer.diff_expert(store, *pyr.taps[off], cfg)
-               for off in sorted(pyr.taps)}
-    f1p, f2p, scores = enhancer.adaptive_adjustment(store, per_tap, pyr.residual, cfg)
-    return enhancer.EnhancedFeatures(per_tap, (f1p, f2p), scores)
+    """``enhance`` as a loop over the taps: one ``diff_expert`` and one
+    ``tap_score`` call per tap, with the gated taps summed in tap order."""
+    per_tap, scores, sums = {}, {}, [None, None]
+    for off in sorted(pyr.taps):
+        per_tap[off] = enhancer.diff_expert(store, *pyr.taps[off], cfg)
+        scores[off] = s = enhancer.tap_score(store, *per_tap[off], cfg)
+        for i in (0, 1):
+            term = s * per_tap[off][i]
+            sums[i] = term if sums[i] is None else sums[i] + term
+    fused = tuple(acc + res for acc, res in zip(sums, pyr.residual))
+    return enhancer.EnhancedFeatures(per_tap, fused, scores)
 
 
 TAP_SETS = [(-2,), (-5, -2), (-11, -8, -5, -2)]
 
 
 class TestStackedTaps:
-    """``enhance`` runs every tap in one stacked ``diff_expert`` call."""
+    """``enhance`` runs every tap through one stacked ``diff_expert``,
+    ``tap_score`` and mix; its per-tap views equal a per-tap loop's."""
 
     @pytest.mark.parametrize("lead", [(), (3,)], ids=["unbatched", "batch3"])
     @pytest.mark.parametrize("taps", TAP_SETS, ids=["1tap", "2taps", "4taps"])
@@ -362,5 +362,5 @@ class TestStackedTaps:
             enhancer.enhance(store, pyr, cfg)
             monkeypatch.setattr(T.Tensor, "__init__", init)
             counts[len(taps)] = len(created)
-        assert counts[2] - counts[1] <= 20
-        assert counts[4] - counts[2] <= 2 * 20
+        assert counts[2] - counts[1] <= 5
+        assert counts[4] - counts[2] <= 2 * 5
