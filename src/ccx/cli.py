@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
+import math
 import sys
 from pathlib import Path
 
@@ -83,8 +83,6 @@ def cmd_gen_data(args):
             weight=args.weight, duplicate_captions=args.overfit)
     except ValueError as exc:  # an argument out of range, checked before writing
         return _error(exc, EXIT_USAGE)
-    except OSError as exc:
-        return _error(exc, EXIT_IO)
     records = data.load_manifest(manifest)
     print(f"manifest: {manifest}")
     print(f"records: {len(records)}")
@@ -93,41 +91,27 @@ def cmd_gen_data(args):
 
 
 def cmd_train(args):
-    try:
-        cfg = cfgmod.load_config(args.config)
-    except cfgmod.ConfigError as exc:
-        return _error(exc, EXIT_USAGE)
+    cfg = cfgmod.load_config(args.config)
     stages = (1, 2, 3) if args.stage == "all" else (int(args.stage),)
-    try:
-        ckpt, _ = trainer.run_pipeline(cfg, stages=stages, resume_from=args.resume,
-                                       log=print)
-    except NumericAbort as exc:
-        return _error(exc, EXIT_NUMERIC)
-    except (OSError, ValueError) as exc:  # manifest, caption and checkpoint errors
-        return _error(exc, EXIT_IO)
+    ckpt, _ = trainer.run_pipeline(cfg, stages=stages, resume_from=args.resume, log=print)
     print(f"checkpoint: {ckpt}")
     return 0
 
 
 def cmd_caption(args):
-    try:
-        model = trainer.load_model(cfgmod.load_config(args.config), args.checkpoint)
-        by_id = {r.id: r for r in data.load_manifest(args.manifest)}
-        if args.pair not in by_id:
-            return _error(f"unknown pair id {args.pair!r}", EXIT_USAGE)
-        i1, i2 = data.load_images(by_id[args.pair], Path(args.manifest).parent)
-        text, _, truncated = model.generate(i1, i2)
-    except cfgmod.ConfigError as exc:
-        return _error(exc, EXIT_USAGE)
-    except (OSError, ValueError) as exc:  # manifest, checkpoint and image errors
-        return _error(exc, EXIT_IO)
+    model = trainer.load_model(cfgmod.load_config(args.config), args.checkpoint)
+    by_id = {r.id: r for r in data.load_manifest(args.manifest)}
+    if args.pair not in by_id:
+        return _error(f"unknown pair id {args.pair!r}", EXIT_USAGE)
+    i1, i2 = trainer.load_pair(model, by_id[args.pair], Path(args.manifest).parent)
+    text, _, truncated = model.generate(i1, i2)
     print(text + (" [truncated]" if truncated else ""))
     return 0
 
 
 def _corpus_from_files(hyp_path, ref_path):
-    hyps = Path(hyp_path).read_text().splitlines()
-    refs = [line.split(" ||| ") for line in Path(ref_path).read_text().splitlines()]
+    hyps = data.read_text(hyp_path).splitlines()
+    refs = [line.split(" ||| ") for line in data.read_text(ref_path).splitlines()]
     if len(hyps) != len(refs):
         raise ValueError(f"{hyp_path} has {len(hyps)} lines but {ref_path} has {len(refs)}")
     return metrics.make_corpus(
@@ -135,28 +119,25 @@ def _corpus_from_files(hyp_path, ref_path):
 
 
 def cmd_eval_metrics(args):
-    try:
-        if args.hyp and args.ref:
-            corpus = _corpus_from_files(args.hyp, args.ref)
-            report = metrics.evaluate(corpus)
-        elif args.checkpoint and args.manifest and args.config:
-            model = trainer.load_model(cfgmod.load_config(args.config), args.checkpoint)
-            records = data.load_manifest(args.manifest)
-            report = trainer.evaluate_checkpoint(
-                model, records, Path(args.manifest).parent, split=args.split)
-        else:
-            return _error("need --hyp/--ref or --checkpoint/--config/--manifest", EXIT_USAGE)
-        if args.json_out:
-            Path(args.json_out).write_text(report.to_json() + "\n")
-    except (cfgmod.ConfigError, metrics.CorpusTooSmall) as exc:
-        return _error(exc, EXIT_USAGE)
-    except (OSError, ValueError, data.ManifestError) as exc:
-        return _error(exc, EXIT_IO)
+    if args.hyp and args.ref:
+        report = metrics.evaluate(_corpus_from_files(args.hyp, args.ref))
+    elif args.checkpoint and args.manifest and args.config:
+        model = trainer.load_model(cfgmod.load_config(args.config), args.checkpoint)
+        records = data.load_manifest(args.manifest)
+        report = trainer.evaluate_checkpoint(
+            model, records, Path(args.manifest).parent, split=args.split)
+    else:
+        return _error("need --hyp/--ref or --checkpoint/--config/--manifest", EXIT_USAGE)
+    if args.json_out:
+        Path(args.json_out).write_text(report.to_json() + "\n")
     print(report.format())
     return 0
 
 
 def cmd_gradcheck(args):
+    if not 0 < args.tolerance < math.inf:  # NaN too: no error is >= NaN
+        return _error(f"--tolerance must be a positive finite number, got {args.tolerance}",
+                      EXIT_USAGE)
     errors = verify.check_module(args.module, seed=args.seed)
     for group, err in sorted(verify.group_summary(errors).items()):
         print(f"{group}: max rel err {err:.3e}")
@@ -172,10 +153,7 @@ def cmd_config_init(args):
     cfg = dict(cfgmod.DEFAULTS)
     if args.profile == "published":
         cfg.update(cfgmod.PUBLISHED_PROFILE_OVERRIDES)
-    try:
-        cfgmod.dump_config(cfg, args.out)
-    except OSError as exc:
-        return _error(exc, EXIT_IO)
+    cfgmod.dump_config(cfg, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -190,7 +168,14 @@ def main(argv=None):
         "gradcheck": cmd_gradcheck,
         "config-init": cmd_config_init,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except (cfgmod.ConfigError, metrics.CorpusTooSmall) as exc:  # ValueErrors, so first
+        return _error(exc, EXIT_USAGE)
+    except NumericAbort as exc:
+        return _error(exc, EXIT_NUMERIC)
+    except (OSError, ValueError) as exc:  # manifest, checkpoint, image and caption errors
+        return _error(exc, EXIT_IO)
 
 
 if __name__ == "__main__":

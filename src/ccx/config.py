@@ -5,7 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .bridge import DecoderConfig
-from .data import IterationMode
+from .data import IterationMode, read_text
 from .encoder import EncoderConfig
 from .enhancer import EnhancerConfig
 
@@ -93,11 +93,9 @@ def _at_least(key, low, strict=False):
 def load_config(path):
     cfg = dict(DEFAULTS)
     try:
-        text = Path(path).read_text()
+        text = read_text(path, ConfigError)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError:
-        raise ConfigError(f"{path}: not UTF-8 text") from None
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:

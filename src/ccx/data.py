@@ -234,42 +234,52 @@ def write_manifest(records, path):
             }, sort_keys=True) + "\n")
 
 
+def read_text(path, error=ValueError):
+    """The text of ``path`` decoded as UTF-8; a file that is not raises
+    ``error`` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise error(f"{path}: not UTF-8 text") from None
+
+
 def load_manifest(path):
     records = []
     first_line = {}  # id -> the line that gave it
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ManifestError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ManifestError(f"{path}:{lineno}: expected a JSON object, "
-                                    f"got {type(obj).__name__}")
-            missing = {"id", "pathA", "pathB", "captions"} - obj.keys()
-            if missing:
-                raise ManifestError(f"{path}:{lineno}: missing fields {sorted(missing)}")
-            for key in ("id", "pathA", "pathB", "split", "source"):
-                if not isinstance(obj.get(key, ""), str):
-                    raise ManifestError(f"{path}:{lineno}: {key} must be a string")
-            caps = obj["captions"]
-            if not (isinstance(caps, list) and len(caps) == 5
-                    and all(isinstance(c, str) for c in caps)):
-                raise ManifestError(f"{path}:{lineno}: captions: expected 5 captions, "
-                                    "a list of strings")
-            weight = obj.get("weight", 1)
-            if isinstance(weight, bool) or not isinstance(weight, int) or weight < 1:
-                raise ManifestError(f"{path}:{lineno}: weight must be an integer >= 1")
-            first = first_line.setdefault(obj["id"], lineno)
-            if first != lineno:
-                raise ManifestError(f"{path}:{lineno}: id {obj['id']!r} repeats line {first}")
-            records.append(CaptionRecord(
-                id=obj["id"], pathA=obj["pathA"], pathB=obj["pathB"],
-                captions=caps, split=obj.get("split", "train"),
-                source=obj.get("source", "synthetic"), weight=weight))
+    # read_text turns "\r\n" and "\r" into "\n", so these are the lines a file
+    # iteration gives (str.splitlines would also split at "\u2028" and others)
+    for lineno, line in enumerate(read_text(path, ManifestError).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ManifestError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ManifestError(f"{path}:{lineno}: expected a JSON object, "
+                                f"got {type(obj).__name__}")
+        missing = {"id", "pathA", "pathB", "captions"} - obj.keys()
+        if missing:
+            raise ManifestError(f"{path}:{lineno}: missing fields {sorted(missing)}")
+        for key in ("id", "pathA", "pathB", "split", "source"):
+            if not isinstance(obj.get(key, ""), str):
+                raise ManifestError(f"{path}:{lineno}: {key} must be a string")
+        caps = obj["captions"]
+        if not (isinstance(caps, list) and len(caps) == 5
+                and all(isinstance(c, str) for c in caps)):
+            raise ManifestError(f"{path}:{lineno}: captions: expected 5 captions, "
+                                "a list of strings")
+        weight = obj.get("weight", 1)
+        if isinstance(weight, bool) or not isinstance(weight, int) or weight < 1:
+            raise ManifestError(f"{path}:{lineno}: weight must be an integer >= 1")
+        first = first_line.setdefault(obj["id"], lineno)
+        if first != lineno:
+            raise ManifestError(f"{path}:{lineno}: id {obj['id']!r} repeats line {first}")
+        records.append(CaptionRecord(
+            id=obj["id"], pathA=obj["pathA"], pathB=obj["pathB"],
+            captions=caps, split=obj.get("split", "train"),
+            source=obj.get("source", "synthetic"), weight=weight))
     return records
 
 

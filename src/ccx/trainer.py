@@ -68,6 +68,18 @@ def _batches(items, size):
         yield items[i:i + size]
 
 
+def load_pair(model: CaptionModel, record, data_dir):
+    """``record``'s two images, each checked to be one image of the size
+    ``model``'s config sets; ``FormatError`` names the record and file."""
+    want = (model.enc_cfg.image_size, model.enc_cfg.image_size, 3)
+    pair = data.load_images(record, data_dir)
+    for image, name in zip(pair, (record.pathA, record.pathB)):
+        if image.shape != want:
+            raise FormatError(f"image shape {image.shape} of record {record.id} "
+                              f"({Path(data_dir) / name}) does not match config {want}")
+    return pair
+
+
 def train_stage(model: CaptionModel, stage_cfg: StageConfig, records, data_dir,
                 seed=0, optimizer=None, max_steps=None) -> StageReport:
     t0 = time.time()
@@ -76,7 +88,7 @@ def train_stage(model: CaptionModel, stage_cfg: StageConfig, records, data_dir,
         optimizer = AdamW(params, weight_decay=stage_cfg.weight_decay)
     lr_map = stage_cfg.lr_map()
     report = StageReport(stage=stage_cfg.stage)
-    images = {rec.id: data.load_images(rec, data_dir) for rec in records}
+    images = {rec.id: load_pair(model, rec, data_dir) for rec in records}
     caption_ids = {cap: model.caption_ids(cap) for rec in records for cap in rec.captions}
     for epoch in range(stage_cfg.epochs):
         mode = data.IterationMode(stage_cfg.mode, seed)
@@ -287,15 +299,7 @@ def evaluate_checkpoint(model: CaptionModel, records, data_dir,
     metrics.require_entries(len(records), "the manifest" if split is None else f"split {split!r}")
     items = []
     for chunk in _batches(records, EVAL_CHUNK):
-        pairs = [data.load_images(rec, data_dir) for rec in chunk]
-        shape = pairs[0][0].shape
-        for rec, pair in zip(chunk, pairs):
-            for img in pair:
-                if img.shape != shape:
-                    raise ValueError(f"record {rec.id}: image shape {img.shape} differs from "
-                                     f"{shape} of record {chunk[0].id}; pairs are captioned "
-                                     f"{EVAL_CHUNK} at a time and need one shape")
-        img1, img2 = map(np.stack, zip(*pairs))
+        img1, img2 = map(np.stack, zip(*(load_pair(model, rec, data_dir) for rec in chunk)))
         for rec, (hyp, _, _) in zip(chunk, model.generate(img1, img2)):
             items.append((rec.id, hyp, rec.captions))
     return metrics.evaluate(metrics.make_corpus(items))

@@ -6,10 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ccx import data, trainer
+from ccx import cli, data, trainer, verify
+from ccx.bridge import OOVError
 from ccx.cli import EXIT_IO, EXIT_NUMERIC, EXIT_USAGE, main
+from ccx.config import ConfigError
+from ccx.metrics import CorpusTooSmall
 from ccx.model import CaptionModel
 from ccx.optim import AdamW
+from ccx.tensor import ShapeError
+from ccx.tensor_io import FormatError, read_cct1, write_cct1
 
 DATA = Path(__file__).parent / "data"
 
@@ -57,6 +62,37 @@ def _golden_files(tmp_path):
     h.write_text("\n".join(hyps) + "\n")
     r.write_text("\n".join(refs) + "\n")
     return h, r
+
+
+class TestExitCodes:
+    """``main`` alone turns a handler's exception into one error line and
+    the documented exit code; any other exception keeps its traceback."""
+
+    @pytest.mark.parametrize("exc,code", [
+        (ConfigError("bad config"), EXIT_USAGE),
+        (CorpusTooSmall("too few entries"), EXIT_USAGE),
+        (trainer.NumericAbort("non-finite loss"), EXIT_NUMERIC),
+        (OSError("disk gone"), EXIT_IO),
+        (FormatError("bad file"), EXIT_IO),
+        (data.ManifestError("bad line"), EXIT_IO),
+        (ShapeError("bad shape"), EXIT_IO),
+        (OOVError("unknown word"), EXIT_IO),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+    def test_exception_family(self, tmp_path, monkeypatch, capsys, exc, code):
+        def handler(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_config_init", handler)
+        assert main(["config-init", "--out", str(tmp_path / "x.cfg")]) == code
+        assert capsys.readouterr().err == f"error: {exc}\n"
+
+    def test_other_exception_propagates(self, tmp_path, monkeypatch):
+        def handler(args):
+            raise TypeError("a bug")
+
+        monkeypatch.setattr(cli, "cmd_config_init", handler)
+        with pytest.raises(TypeError, match="a bug"):
+            main(["config-init", "--out", str(tmp_path / "x.cfg")])
 
 
 class TestGenData:
@@ -576,8 +612,7 @@ class TestEvalMetrics:
                      "--config", str(trained["config"]),
                      "--manifest", str(manifest)]) == EXIT_IO
         err = capsys.readouterr().err
-        assert err.startswith("error: record big0000: image shape (32, 32, 3) differs from "
-                              f"(16, 16, 3) of record {records[0].id}")
+        assert err.startswith("error: image shape (32, 32, 3) of record big0000 (")
         assert err.count("\n") == 1
 
     def test_missing_inputs_usage_error(self, capsys):
@@ -596,3 +631,86 @@ class TestGradcheck:
     def test_enhancer_suite_passes(self, capsys):
         assert main(["gradcheck", "--module", "enhancer"]) == 0
         assert "enhancer" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tolerance", ["nan", "0", "inf"])
+    def test_bad_tolerance_is_usage_error(self, monkeypatch, capsys, tolerance):
+        def check_module(*args, **kwargs):
+            raise AssertionError("a check ran under a bad tolerance")
+
+        monkeypatch.setattr(verify, "check_module", check_module)
+        assert main(["gradcheck", "--module", "bridge", "--tolerance", tolerance]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: --tolerance must be a positive finite number, got {float(tolerance)}\n")
+
+
+def _main_on_manifest(trained, tmp_path, command, manifest):
+    """``main`` running ``command`` on ``manifest`` with the trained config
+    (and, but for ``train``, the trained checkpoint)."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(trained["config"].read_text() + f"train.out = {tmp_path / 'run'}\n"
+                   + f"data.manifest = {manifest}\n")
+    ckpt = ["--checkpoint", str(trained["checkpoint"]), "--manifest", str(manifest)]
+    args = {"caption": [*ckpt, "--pair", "pair0000"], "eval-metrics": ckpt, "train": []}
+    return main([command, "--config", str(cfg), *args[command]])
+
+
+def _not_utf8(path):
+    path.write_bytes(b"\xff" + "a road is built\n".encode())
+    return path
+
+
+class TestNotUtf8:
+    """A text input that is not UTF-8 is one error line naming the file, and exit 3."""
+
+    @pytest.mark.parametrize("bad", ["--hyp", "--ref"])
+    def test_hyp_or_ref(self, tmp_path, capsys, bad):
+        files = dict(zip(("--hyp", "--ref"), _golden_files(tmp_path)))
+        files[bad] = _not_utf8(files[bad])
+        assert main(["eval-metrics", *(str(v) for kv in files.items() for v in kv)]) == EXIT_IO
+        assert capsys.readouterr().err == f"error: {files[bad]}: not UTF-8 text\n"
+
+    @pytest.mark.parametrize("command", ["caption", "eval-metrics", "train"])
+    def test_manifest(self, trained, tmp_path, capsys, command):
+        manifest = _not_utf8(tmp_path / "manifest.jsonl")
+        assert _main_on_manifest(trained, tmp_path, command, manifest) == EXIT_IO
+        assert capsys.readouterr().err == f"error: {manifest}: not UTF-8 text\n"
+
+
+class TestImageShapes:
+    """Every image a command reads must be one [S, S, 3] image, S the
+    config's ``encoder.image_size``: anything else is one error line
+    naming the record and its file, and exit 3, before any step or caption."""
+
+    def _run(self, trained, tmp_path, monkeypatch, capsys, command, manifest):
+        def reached(*args):
+            raise AssertionError("a step or a caption ran on a bad image")
+
+        monkeypatch.setattr(AdamW, "step", reached)
+        monkeypatch.setattr(CaptionModel, "generate", reached)
+        capsys.readouterr()
+        assert _main_on_manifest(trained, tmp_path, command, manifest) == EXIT_IO
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["caption", "eval-metrics", "train"])
+    def test_stacked_pair_images(self, trained, tmp_path, monkeypatch, capsys, command):
+        def stack(obj):  # each image stored as [2, H, W, 3]
+            for key in ("pathA", "pathB"):
+                path = tmp_path / Path(obj[key]).name
+                image = read_cct1(obj[key])
+                write_cct1(path, np.stack([image, image]))
+                obj[key] = str(path)
+            return obj
+
+        manifest = _manifest_copy(trained, tmp_path / "manifest.jsonl", stack)
+        err = self._run(trained, tmp_path, monkeypatch, capsys, command, manifest)
+        assert err == (f"error: image shape (2, 16, 16, 3) of record pair0000 "
+                       f"({tmp_path / 'pair0000_a.cct1'}) does not match config (16, 16, 3)\n")
+
+    def test_train_on_larger_images(self, trained, tmp_path, monkeypatch, capsys):
+        datadir = tmp_path / "data"
+        assert main(["gen-data", "--pairs", "2", "--seed", "8", "--out", str(datadir),
+                     "--image-size", "32"]) == 0
+        err = self._run(trained, tmp_path, monkeypatch, capsys, "train",
+                        datadir / "manifest.jsonl")
+        assert err == (f"error: image shape (32, 32, 3) of record pair0000 "
+                       f"({datadir / 'pair0000_a.cct1'}) does not match config (16, 16, 3)\n")

@@ -146,6 +146,23 @@ class TestManifestErrors:
         with pytest.raises(data.ManifestError, match="weight"):
             data.load_manifest(p)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_lines_split_as_a_text_file_does(self, tmp_path, newline):
+        p = tmp_path / "m.jsonl"
+        caption = json.dumps({"id": "x", "pathA": "a", "pathB": "b",
+                              "captions": ["c\u2028d"] * 5}, ensure_ascii=False)
+        p.write_bytes(newline.join([caption, "", "not json", ""]).encode())
+        with pytest.raises(data.ManifestError, match=":3:"):
+            data.load_manifest(p)
+        p.write_bytes((caption + newline).encode())
+        assert data.load_manifest(p)[0].captions[0] == "c\u2028d"
+
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "m.jsonl"
+        p.write_bytes(b"\xff\n")
+        with pytest.raises(data.ManifestError, match="m.jsonl: not UTF-8 text$"):
+            data.load_manifest(p)
+
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "m.jsonl"
         p.write_text("\n" + json.dumps({"id": "x", "pathA": "a", "pathB": "b",
