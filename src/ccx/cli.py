@@ -110,8 +110,8 @@ def cmd_caption(args):
 
 
 def _corpus_from_files(hyp_path, ref_path):
-    hyps = data.read_text(hyp_path).splitlines()
-    refs = [line.split(" ||| ") for line in data.read_text(ref_path).splitlines()]
+    hyps = data.read_lines(hyp_path)
+    refs = [line.split(" ||| ") for line in data.read_lines(ref_path)]
     if len(hyps) != len(refs):
         raise ValueError(f"{hyp_path} has {len(hyps)} lines but {ref_path} has {len(refs)}")
     return metrics.make_corpus(

@@ -5,7 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .bridge import DecoderConfig
-from .data import IterationMode, read_text
+from .data import IterationMode, read_lines
 from .encoder import EncoderConfig
 from .enhancer import EnhancerConfig
 
@@ -93,10 +93,10 @@ def _at_least(key, low, strict=False):
 def load_config(path):
     cfg = dict(DEFAULTS)
     try:
-        text = read_text(path, ConfigError)
+        lines = read_lines(path, ConfigError)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from None
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -234,21 +234,23 @@ def write_manifest(records, path):
             }, sort_keys=True) + "\n")
 
 
-def read_text(path, error=ValueError):
-    """The text of ``path`` decoded as UTF-8; a file that is not raises
-    ``error`` naming it."""
+def read_lines(path, error=ValueError):
+    r"""The lines of text file ``path`` decoded as UTF-8; a file that is not
+    raises ``error`` naming it. Lines end at "\n" only: reading turns "\r\n"
+    and "\r" into "\n", so these are the lines a file iteration gives
+    (str.splitlines would also split at "\u2028", "\x85" and others). A final
+    newline ends the last line rather than starting an empty one."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise error(f"{path}: not UTF-8 text") from None
+    return text.removesuffix("\n").split("\n") if text else []
 
 
 def load_manifest(path):
     records = []
     first_line = {}  # id -> the line that gave it
-    # read_text turns "\r\n" and "\r" into "\n", so these are the lines a file
-    # iteration gives (str.splitlines would also split at "\u2028" and others)
-    for lineno, line in enumerate(read_text(path, ManifestError).split("\n"), 1):
+    for lineno, line in enumerate(read_lines(path, ManifestError), 1):
         line = line.strip()
         if not line:
             continue

@@ -312,12 +312,17 @@ def attend(q, k, v, heads, scale, mask=None):
     scores are formed in one buffer, then masked and normalized in place,
     so only the probabilities P and the merged context are kept; the
     backward reads the per-head contexts O as a view of that context.
+    The softmax exponentiates the scores unshifted and divides by the row
+    sums. When a row sum is not finite or below 1e-250 (a row overflowed,
+    underflowed, holds a NaN or is fully masked), the scores are formed
+    again and every row is shifted by its maximum first, the textbook
+    formula; no input emits a floating-point warning.
     Returns ``(context, P)``: the context [..., Tq, dv] as a tensor whose
     parents are ``(q, k, v)``, and P [..., heads, Tq, Tk] as a plain
     array. The backward uses FlashAttention-2's identity dS = P ∘ (dP − D)
     with D = rowsum(dO ∘ O) per head, which equals rowsum(dP ∘ P) without a
-    pass over P, applies ``scale`` to the dQ and dK products, and
-    recomputes nothing.
+    pass over P, forms dP − D as one product [dO | −D] [V | 1]ᵀ, applies
+    ``scale`` to the dQ and dK products, and recomputes nothing.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     qs, ks, vs = q.data.shape, k.data.shape, v.data.shape
@@ -332,19 +337,36 @@ def attend(q, k, v, heads, scale, mask=None):
     if not qs[:-2] == ks[:-2] == vs[:-2] or ms not in (None, (qs[-2], ks[-2])):
         raise ShapeError(f"attend: q {qs}, k {ks}, v {vs} and mask {ms} do not match")
     qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
-    p = (qh * scale) @ kh.swapaxes(-1, -2)
-    if mask is not None:
-        p += mask
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+
+    def scores():
+        s = (qh * scale) @ kh.swapaxes(-1, -2)
+        if mask is not None:
+            s += mask
+        return s
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = scores()
+        np.exp(p, out=p)
+        den = p.sum(axis=-1, keepdims=True)
+        if not (den.min() >= 1e-250 and den.max() < np.inf):  # NaN fails too
+            p = scores()
+            p -= p.max(axis=-1, keepdims=True)
+            np.exp(p, out=p)
+            den = p.sum(axis=-1, keepdims=True)
+        p /= den
     out = _merge_heads(p @ vh)
 
     def bwd(g):
         g = _split_heads(g, heads)
         _accum(v, _merge_heads(p.swapaxes(-1, -2) @ g))
-        ds = g @ vh.swapaxes(-1, -2)  # dP, then dS in place
-        ds -= (g * _split_heads(out, heads)).sum(axis=-1, keepdims=True)
+        # dS = P ∘ (dP − D) with dP − D = [dO | −D] [V | 1]ᵀ, then in place
+        *lead, dh = vh.shape
+        gd = np.empty((*g.shape[:-1], dh + 1))
+        gd[..., :dh] = g
+        gd[..., dh] = -(g * _split_heads(out, heads)).sum(axis=-1)
+        vd = np.ones((*lead, dh + 1))
+        vd[..., :dh] = vh
+        ds = gd @ vd.swapaxes(-1, -2)
         ds *= p
         dq = _merge_heads(ds @ kh)
         dq *= scale

@@ -139,6 +139,15 @@ class TestConfigInit:
         assert cfg["stage2.batch_size"] == 256
         assert cfg["stage2.base_lr"] == pytest.approx(1e-5)
 
+    @pytest.mark.parametrize("brk", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c"])
+    def test_commented_out_key_stays_commented_out(self, tmp_path, brk):
+        """A config line ends at "\n" only, so a key after another line
+        break character stays inside its comment."""
+        from ccx import config as cfgmod
+        path = tmp_path / "c.cfg"
+        path.write_text(f"# was: {brk}train.seed = 5\n", encoding="utf-8")
+        assert cfgmod.load_config(path) == dict(cfgmod.DEFAULTS)
+
 
 class TestTrain:
     def test_missing_config_is_usage_error(self, tmp_path):
@@ -555,6 +564,23 @@ class TestEvalMetrics:
                      "--json-out", str(out)]) == 0
         capsys.readouterr()
         assert json.loads(out.read_text())["bleu4"] == pytest.approx(100.0)
+
+    def test_lines_split_at_newline_only(self, tmp_path, capsys):
+        """U+2028, U+0085 and the other breaks str.splitlines knows stay in
+        their line, so each hypothesis keeps its own references."""
+        def report(hyp, ref):
+            h, r, out = tmp_path / "h.txt", tmp_path / "r.txt", tmp_path / "report.json"
+            h.write_text(hyp, encoding="utf-8")
+            r.write_text(ref, encoding="utf-8")
+            assert main(["eval-metrics", "--hyp", str(h), "--ref", str(r),
+                         "--json-out", str(out)]) == 0
+            return json.loads(out.read_text())
+
+        hyps = "a road{}is built\n\nthe tree is gone\n"  # the blank line is an empty hypothesis
+        refs = "a road is built ||| a new road\nno change\nthe tree{}is gone\n"
+        want = report(hyps.format(" "), refs.format(" "))
+        got = report(hyps.format("\u2028"), refs.format("\x85"))
+        assert got == want
 
     def test_line_count_mismatch_io_error(self, tmp_path, capsys):
         h = tmp_path / "h.txt"

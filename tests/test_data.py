@@ -170,6 +170,20 @@ class TestManifestErrors:
         assert len(data.load_manifest(p)) == 1
 
 
+class TestReadLines:
+    @pytest.mark.parametrize("text,lines", [
+        ("", []),
+        ("\n", [""]),
+        ("a\n\nb", ["a", "", "b"]),
+        ("a\r\nb\rc\n", ["a", "b", "c"]),
+        ("a\u2028b\x85c\x0cd\x1ce\n", ["a\u2028b\x85c\x0cd\x1ce"]),
+    ])
+    def test_split_at_newline_only(self, tmp_path, text, lines):
+        p = tmp_path / "t.txt"
+        p.write_bytes(text.encode())
+        assert data.read_lines(p) == lines
+
+
 def _records(n, captions=None, weight=1):
     caps = captions or [f"caption {i}" for i in range(5)]
     return [data.CaptionRecord(id=f"r{i}", pathA="a", pathB="b",

@@ -2,6 +2,7 @@ import ctypes
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,20 @@ def _softmax_rows(z):
     return ctx, p[0]
 
 
+def _masked_softmax_rows(z, mask):
+    """T.attend's probabilities for logits z [rows, cols] plus ``mask``."""
+    cols = z.shape[-1]
+    eye = T.Tensor(np.eye(cols))
+    return T.attend(T.Tensor(z), eye, eye, 1, 1.0, mask)[1][0]
+
+
+def _shifted_softmax(s):
+    """The textbook softmax of score rows: shift by the row max, then
+    exponentiate and normalize."""
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 class TestSoftmax:
     """The softmax inside ``T.attend``."""
 
@@ -217,6 +232,43 @@ class TestSoftmax:
         _, p = _softmax_rows(4.0 * Rng(seed).normal((rows, cols)))
         np.testing.assert_allclose(p.sum(axis=-1), np.ones(rows), atol=1e-12)
 
+    @pytest.mark.parametrize("row", [
+        [1000.0, 0.0, -3.0],  # exp overflows
+        [-800.0, -900.0, -1000.0],  # exp underflows to a zero row sum
+        [0.5, np.nan, -1.0],  # a NaN score
+        None,  # every key blocked
+    ])
+    def test_extreme_row_gives_shifted_formula_bitwise(self, row):
+        """A row the unshifted softmax cannot normalize sends the call to
+        the textbook formula, which every row then takes, warning-free."""
+        z, mask = Rng(93).normal((4, 3)), np.zeros((4, 3))
+        if row is None:
+            mask[2] = -1e30
+        else:
+            z[2] = row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = _masked_softmax_rows(z, mask)
+        want = _shifted_softmax(z + mask)
+        nan = np.isnan(want)
+        assert nan[2].all() == (row is not None and np.isnan(row).any())
+        assert np.array_equal(np.isnan(p), nan)
+        assert p[~nan].tobytes() == want[~nan].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 8), st.integers(0, 7))
+    def test_unshifted_matches_shifted_formula(self, seed, rows, cols, seen):
+        z = 600.0 * Rng(seed).uniform((rows, cols)) - 300.0
+        # causal: row i sees keys 0 to seen + i, at least one
+        mask = np.triu(np.full((rows, cols), -1e30), k=min(seen, cols - 1) + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = _masked_softmax_rows(z, mask)
+        # the reference's own s - max rounds by up to |s - max|·2⁻⁵³, which
+        # moves exp by more than 1e-14 relative only where P < e⁻⁹⁰ ≈ 1e-39
+        np.testing.assert_allclose(p, _shifted_softmax(z + mask), rtol=1e-14, atol=1e-30)
+        np.testing.assert_allclose(p.sum(axis=-1), np.ones(rows), atol=1e-12)
+
 
 def _causal(tq, tk):
     """The decoder's mask: query row i sees keys up to tk - tq + i."""
@@ -232,7 +284,7 @@ def _per_head(q, k, v, heads, scale, mask):
             return x[..., h * dh:(h + 1) * dh]
 
         s = cols(q) @ np.swapaxes(cols(k), -1, -2) * scale + mask
-        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        e = np.exp(s)
         p = e / e.sum(axis=-1, keepdims=True)
         ctxs.append(p @ cols(v))
         probs.append(p)
@@ -263,7 +315,6 @@ def _attend_grads_from_unmerged_context(q, k, v, heads, scale, mask, g):
     p = (qh * scale) @ np.swapaxes(kh, -1, -2)
     if mask is not None:
         p += mask
-    p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     o = p @ vh
