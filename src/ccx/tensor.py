@@ -32,6 +32,13 @@ _GRAD_ENABLED = True
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
 
+# The float64 values (2^17, 1 MiB) that a block of ``attend`` or ``gelu``
+# keeps in cache: half the 2 MiB L2 of a core, so that a block's
+# elementwise passes read cache rather than memory. It bounds a block's
+# slice of attention probabilities, and the four arrays a GELU block
+# works in together.
+_BLOCK = 1 << 17
+
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
@@ -248,49 +255,61 @@ def sigmoid(a):
 def gelu(a):
     """GELU via the tanh approximation 0.5x(1+tanh(sqrt(2/pi)(x+0.044715x^3))).
 
-    The forward and the derivative each run in two buffers of their own,
-    with the operations of 0.5·x·(1 + t), t = tanh(sqrt(2/pi)·(x +
-    0.044715·x²·x)), and of g·(0.5(1 + t) + 0.5·x·(1 − t²)·sqrt(2/pi)(1 +
-    3·0.044715·x²)) in the same order; only the exact halvings move within
-    their products.
+    The forward runs in blocks of at most ``_BLOCK`` / 4 elements of the
+    input read in C order: the input, the output, the derivative and one
+    scratch block are live together, and stay in cache through the
+    block's passes. It returns a fresh C-contiguous array. When a graph is
+    recorded, the same pass forms the derivative 0.5(1 + t) + 0.5·x·(1 −
+    t²)·sqrt(2/pi)(1 + 3·0.044715·x²), and the backward is one multiply by
+    it; a call that records no graph forms no derivative. Each element
+    takes the operations of 0.5·x·(1 + t), t = tanh(sqrt(2/pi)·(x +
+    0.044715·x²·x)), and of g·(derivative) in the order those expressions
+    give, with only the exact halvings moved within their products, so no
+    bit depends on the blocks.
     """
     a = as_tensor(a)
     x = a.data
-    # x·x, not x**3 (libm pow, an order of magnitude slower), and into an
-    # owned array: on a 0-d input ``x * x`` is a numpy scalar
-    t = np.multiply(x, x, out=np.empty_like(x))
-    t *= x
-    t *= _GELU_C
-    t += x
-    t *= _SQRT_2_OVER_PI
-    np.tanh(t, out=t)  # kept, unchanged, for the derivative
-    out = np.add(t, 1.0, out=np.empty_like(x))
-    out *= 0.5
-    out *= x
-
-    def da(g):  # the derivative is formed only when backward runs
-        du = np.multiply(x, x, out=np.empty_like(x))
-        du *= 3.0 * _GELU_C
-        du += 1.0
-        du *= _SQRT_2_OVER_PI
-        d = np.multiply(t, t, out=np.empty_like(x))
-        np.subtract(1.0, d, out=d)
-        d *= 0.5
-        d *= x
-        d *= du
-        np.add(t, 1.0, out=du)  # du's buffer now takes 0.5·(1 + t)
-        du *= 0.5
-        d += du
-        d *= g
-        return d
-
-    return _unary(a, out, da)
+    out = np.empty(x.shape)
+    d = np.empty(x.shape) if _GRAD_ENABLED and a.requires_grad else None
+    n, step = x.size, _BLOCK // 4
+    if n <= step:  # one block: the whole arrays, with no views to cut
+        blocks = ((x, out, d, np.empty(x.shape)),)
+    else:
+        xf, of = x.reshape(-1), out.reshape(-1)
+        df = None if d is None else d.reshape(-1)
+        scratch = np.empty(step)  # one block, reused by every block
+        blocks = [(xf[i:i + step], of[i:i + step], None if d is None else df[i:i + step],
+                   scratch[:min(step, n - i)]) for i in range(0, n, step)]
+    for xb, ob, db, t in blocks:
+        # x·x, not x**3 (libm pow, an order of magnitude slower)
+        np.multiply(xb, xb, out=t)
+        t *= xb
+        t *= _GELU_C
+        t += xb
+        t *= _SQRT_2_OVER_PI
+        np.tanh(t, out=t)
+        np.add(t, 1.0, out=ob)
+        ob *= 0.5
+        if db is not None:
+            np.multiply(t, t, out=db)
+            np.subtract(1.0, db, out=db)
+            db *= 0.5
+            db *= xb
+            du = np.multiply(xb, xb, out=t)  # t is spent: it takes sqrt(2/pi)(1 + 3c·x²)
+            du *= 3.0 * _GELU_C
+            du += 1.0
+            du *= _SQRT_2_OVER_PI
+            db *= du
+            db += ob  # ob holds 0.5·(1 + t) here
+        ob *= xb
+    # into an owned array: on 0-d operands ``g * d`` is a numpy scalar
+    return _unary(a, out, lambda g: np.multiply(g, d, out=np.empty(d.shape)))
 
 
 def _split_heads(x, heads):
     """[..., T, d] -> a [..., heads, T, d/heads] view."""
-    *lead, t, d = x.shape
-    return x.reshape(*lead, t, heads, d // heads).swapaxes(-3, -2)
+    s = x.shape
+    return x.reshape(s[:-1] + (heads, s[-1] // heads)).swapaxes(-3, -2)
 
 
 def _merge_heads(x):
@@ -299,30 +318,54 @@ def _merge_heads(x):
     return x.swapaxes(-3, -2).reshape(*lead, t, heads * dh)
 
 
+def _blocks(p, *arrays):
+    """Views of ``p`` [..., heads, Tq, Tk] and of ``arrays`` [..., heads, T, ·]
+    of the same leading shape, over runs of their flattened leading
+    indices, each run as long as its slice of ``p`` holds at most
+    ``_BLOCK`` values (one index at least): ``((p, *arrays),)`` when one
+    run holds them all, and no run when ``p`` is empty. Flattening the
+    leading axes of an array that a caller writes must make no copy; a
+    head-split view of a C-contiguous array makes none."""
+    size = p.size
+    if size <= _BLOCK:
+        return ((p, *arrays),) if size else ()
+    per = math.prod(p.shape[-3:])
+    step = max(1, _BLOCK // per)
+    flat = [x.reshape(size // per, *x.shape[-3:]) for x in (p, *arrays)]
+    return [tuple(x[i:i + step] for x in flat) for i in range(0, size // per, step)]
+
+
 def attend(q, k, v, heads, scale, mask=None):
     """Multi-head scaled dot-product attention as one node: per head h,
     softmax(scale·q_h k_hᵀ + mask) v_h, with the heads' contexts merged.
 
     ``q`` is [..., Tq, d], ``k`` [..., Tk, d] and ``v`` [..., Tk, dv], with
-    equal leading axes, and head h owns columns h·d/heads to
+    equal leading axes and Tk ≥ 1, and head h owns columns h·d/heads to
     (h+1)·d/heads of each (numpy views, no copies). ``mask`` is None or
     an additive float array [Tq, Tk] (0 = attend, large negative =
     blocked).
-    ``scale`` is folded into the query heads before the score product; the
-    scores are formed in one buffer, then masked and normalized in place,
-    so only the probabilities P and the merged context are kept; the
-    backward reads the per-head contexts O as a view of that context.
+    The work runs in blocks of the flattened leading axes, each holding at
+    most ``_BLOCK`` probabilities (at least one leading index), so a
+    block's scores stay in cache from the score product, through the mask,
+    the exponentials, the row sums and the divide, to the product with V.
+    P, the context and the gradients stay whole arrays, allocated once;
+    the blocks write into their head-split views. Every element takes the
+    same operations whatever the blocks, so blocking moves no bit.
+    ``scale`` is folded into the query heads before the score product.
     The softmax exponentiates the scores unshifted and divides by the row
     sums. When a row sum is not finite or below 1e-250 (a row overflowed,
-    underflowed, holds a NaN or is fully masked), the scores are formed
-    again and every row is shifted by its maximum first, the textbook
+    underflowed, holds a NaN or is fully masked), every block is formed
+    again with every row shifted by its maximum first, the textbook
     formula; no input emits a floating-point warning.
     Returns ``(context, P)``: the context [..., Tq, dv] as a tensor whose
     parents are ``(q, k, v)``, and P [..., heads, Tq, Tk] as a plain
-    array. The backward uses FlashAttention-2's identity dS = P ∘ (dP − D)
-    with D = rowsum(dO ∘ O) per head, which equals rowsum(dP ∘ P) without a
-    pass over P, forms dP − D as one product [dO | −D] [V | 1]ᵀ, applies
-    ``scale`` to the dQ and dK products, and recomputes nothing.
+    array; with Tq = 0 or an empty leading axis both are empty, and so are
+    the gradients that are not zeros. The backward walks the same blocks:
+    dV, then FlashAttention-2's identity dS = P ∘ (dP − D) with D =
+    rowsum(dO ∘ O) per head, which equals rowsum(dP ∘ P) without a pass
+    over P, forming dP − D as one product [dO | −D] [V | 1]ᵀ, then dQ and
+    dK with ``scale`` applied; it reads O as a view of the context and
+    recomputes nothing.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     qs, ks, vs = q.data.shape, k.data.shape, v.data.shape
@@ -336,43 +379,53 @@ def attend(q, k, v, heads, scale, mask=None):
     ms = None if mask is None else np.shape(mask)
     if not qs[:-2] == ks[:-2] == vs[:-2] or ms not in (None, (qs[-2], ks[-2])):
         raise ShapeError(f"attend: q {qs}, k {ks}, v {vs} and mask {ms} do not match")
+    if not ks[-2]:
+        raise ShapeError(f"attend: k {ks} and v {vs} hold no rows for q {qs} to attend to")
     qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
-
-    def scores():
-        s = (qh * scale) @ kh.swapaxes(-1, -2)
-        if mask is not None:
-            s += mask
-        return s
+    p = np.empty(qs[:-2] + (heads, qs[-2], ks[-2]))
+    out = np.empty(qs[:-1] + vs[-1:])
+    oh = _split_heads(out, heads)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        p = scores()
-        np.exp(p, out=p)
-        den = p.sum(axis=-1, keepdims=True)
-        if not (den.min() >= 1e-250 and den.max() < np.inf):  # NaN fails too
-            p = scores()
-            p -= p.max(axis=-1, keepdims=True)
-            np.exp(p, out=p)
-            den = p.sum(axis=-1, keepdims=True)
-        p /= den
-    out = _merge_heads(p @ vh)
+        # the unshifted pass stops at the first bad row sum, and the
+        # shifted pass then forms every block again
+        for shift in (False, True):
+            for pb, qb, kb, vb, ob in _blocks(p, qh, kh, vh, oh):
+                s = np.matmul(qb * scale, kb.swapaxes(-1, -2), out=pb)
+                if mask is not None:
+                    s += mask
+                if shift:
+                    s -= s.max(axis=-1, keepdims=True)
+                np.exp(s, out=s)
+                den = s.sum(axis=-1, keepdims=True)
+                if not (shift or den.min() >= 1e-250 and den.max() < np.inf):  # NaN fails too
+                    break
+                s /= den
+                np.matmul(s, vb, out=ob)
+            else:
+                break
 
     def bwd(g):
-        g = _split_heads(g, heads)
-        _accum(v, _merge_heads(p.swapaxes(-1, -2) @ g))
-        # dS = P ∘ (dP − D) with dP − D = [dO | −D] [V | 1]ᵀ, then in place
-        *lead, dh = vh.shape
-        gd = np.empty((*g.shape[:-1], dh + 1))
-        gd[..., :dh] = g
-        gd[..., dh] = -(g * _split_heads(out, heads)).sum(axis=-1)
-        vd = np.ones((*lead, dh + 1))
-        vd[..., :dh] = vh
-        ds = gd @ vd.swapaxes(-1, -2)
-        ds *= p
-        dq = _merge_heads(ds @ kh)
-        dq *= scale
+        dh = vs[-1] // heads
+        # no block writes the gradients when no query attends: they are zeros
+        dq, dk, dv = ((np.empty if p.size else np.zeros)(shape) for shape in (qs, ks, vs))
+        for pb, qb, kb, vb, ob, gb, dqb, dkb, dvb in _blocks(
+                p, qh, kh, vh, oh, *(_split_heads(x, heads) for x in (g, dq, dk, dv))):
+            np.matmul(pb.swapaxes(-1, -2), gb, out=dvb)
+            # dS = P ∘ (dP − D) with dP − D = [dO | −D] [V | 1]ᵀ, then in place
+            gd = np.empty((*gb.shape[:-1], dh + 1))
+            gd[..., :dh] = gb
+            gd[..., dh] = -(gb * ob).sum(axis=-1)
+            vd = np.ones((*vb.shape[:-1], dh + 1))
+            vd[..., :dh] = vb
+            ds = gd @ vd.swapaxes(-1, -2)
+            ds *= pb
+            np.matmul(ds, kb, out=dqb)
+            dqb *= scale
+            np.matmul(ds.swapaxes(-1, -2), qb, out=dkb)
+            dkb *= scale
+        _accum(v, dv)
         _accum(q, dq)
-        dk = _merge_heads(ds.swapaxes(-1, -2) @ qh)
-        dk *= scale
         _accum(k, dk)
 
     return _node(out, (q, k, v), bwd), p

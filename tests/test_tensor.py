@@ -377,6 +377,9 @@ class TestAttend:
         ((2, 2, 3, 4), (2, 2, 5, 4), 1, False),  # 4-D, one head, more keys than queries
         ((8, 20, 48), (8, 20, 48), 4, True),
         ((3, 7, 12), (3, 9, 12), 3, True),
+        # several blocks at the default budget: the enhancer's and the decoder's
+        ((4, 8, 64, 32), (4, 8, 192, 32), 4, False),
+        ((8, 150, 48), (8, 150, 48), 4, True),
     ])
     def test_backward_reads_context_bitwise(self, qshape, kshape, heads, causal):
         """The backward's D from a head-split view of the returned context
@@ -392,16 +395,61 @@ class TestAttend:
         for leaf, ref in zip(leaves, want, strict=True):
             assert leaf.grad.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("heads", [2, 3, 4])
-    def test_heads_match_per_head_reference_bitwise(self, heads):
+    @pytest.mark.parametrize("heads,qshape,kshape,vshape,causal", [
+        pytest.param(h, (2, 3, 2 * h), (2, 5, 2 * h), (2, 5, 3 * h), True, id=str(h))
+        for h in (2, 3, 4)
+    ] + [  # several blocks at the default budget: the enhancer's and the decoder's
+        pytest.param(4, (4, 8, 64, 32), (4, 8, 192, 32), (4, 8, 192, 32), False,
+                     id="4-blocks-enhancer"),
+        pytest.param(4, (8, 150, 48), (8, 150, 48), (8, 150, 48), True, id="4-blocks-decoder"),
+    ])
+    def test_heads_match_per_head_reference_bitwise(self, heads, qshape, kshape, vshape, causal):
         r = Rng(88 + heads)
-        q, k = r.normal((2, 3, 2 * heads)), r.normal((2, 5, 2 * heads))
-        v = r.normal((2, 5, 3 * heads))
-        ctx, p = T.attend(T.Tensor(q), T.Tensor(k), T.Tensor(v), heads, 0.5, _causal(3, 5))
-        want_ctx, want_p = _per_head(q, k, v, heads, 0.5, _causal(3, 5))
-        assert ctx.shape == (2, 3, 3 * heads) and p.shape == (2, heads, 3, 5)
+        q, k, v = r.normal(qshape), r.normal(kshape), r.normal(vshape)
+        tq, tk = qshape[-2], kshape[-2]
+        mask = _causal(tq, tk) if causal else None
+        ctx, p = T.attend(T.Tensor(q), T.Tensor(k), T.Tensor(v), heads, 0.5, mask)
+        want_ctx, want_p = _per_head(q, k, v, heads, 0.5,
+                                     np.zeros((tq, tk)) if mask is None else mask)
+        assert ctx.shape == qshape[:-1] + vshape[-1:]
+        assert p.shape == qshape[:-2] + (heads, tq, tk)
         assert p.tobytes() == want_p.tobytes()
         assert ctx.data.tobytes() == want_ctx.tobytes()
+
+    def test_fallback_redoes_every_block_with_the_shifted_formula(self):
+        """One sample of many holds a score of 1000, in the last of several
+        blocks: the blocks already normalized are formed again, and the
+        whole of P is the shifted formula's, warning-free."""
+        n, rows, cols = 64, 64, 64  # 2^18 probabilities: more than one block
+        z = Rng(94).normal((n, rows, cols))
+        z[n - 3, 5, 7] = 1000.0
+        eye = T.Tensor(np.repeat(np.eye(cols)[None], n, axis=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, p = T.attend(T.Tensor(z), eye, eye, 1, 1.0)
+        assert p.size > T._BLOCK
+        assert p[:, 0].tobytes() == _shifted_softmax(z).tobytes()
+
+    @pytest.mark.parametrize("qshape,kshape", [
+        ((0, 3, 4), (0, 5, 4)),  # an empty leading axis
+        ((0, 4), (5, 4)),  # no query row
+        ((2, 0, 4), (2, 5, 4)),
+    ])
+    def test_no_query_gives_empty_context_and_zero_gradients(self, qshape, kshape):
+        leaves = [T.Tensor(np.ones(s), requires_grad=True) for s in (qshape, kshape, kshape)]
+        mask = np.zeros((qshape[-2], kshape[-2]))
+        ctx, p = T.attend(*leaves, 2, 0.5, mask)
+        assert ctx.shape == qshape and ctx.size == 0
+        assert p.shape == qshape[:-2] + (2, qshape[-2], kshape[-2]) and p.size == 0
+        ctx.backward(np.zeros(qshape))
+        for leaf in leaves:
+            assert leaf.grad.shape == leaf.shape and not leaf.grad.any()
+
+    @pytest.mark.parametrize("qshape,kshape", [((3, 4), (0, 4)), ((2, 3, 4), (2, 0, 4))])
+    def test_no_key_raises_shape_error(self, qshape, kshape):
+        with pytest.raises(T.ShapeError, match=rf"k \({kshape[0]}, .*q \({qshape[0]}, "):
+            T.attend(T.Tensor(np.ones(qshape)), T.Tensor(np.ones(kshape)),
+                     T.Tensor(np.ones(kshape)), 1, 1.0)
 
     def test_matches_unfused_reference(self):
         r = Rng(83)
@@ -972,6 +1020,85 @@ class TestGelu:
         want = g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
         assert a.grad.tobytes() == np.asarray(want).tobytes()
         assert a.data.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("case", ["blocks", "transposed", "unstack", "0-d"])
+    def test_blocks_match_two_buffer_formula_bitwise(self, case):
+        """Output and input gradient equal the arithmetic of one buffer
+        for the output and one for the derivative, on inputs of several
+        blocks, of a non-contiguous layout and of no axis."""
+        r = Rng(73)
+        x = {"blocks": 3.0 * r.normal((5, 40000)),
+             "transposed": 3.0 * r.normal((300, 400)).T,
+             "unstack": 3.0 * r.normal((3, 200, 250)),
+             "0-d": np.asarray(0.7)}[case]
+        leaf = T.Tensor(x, requires_grad=True)
+        a = T.unstack(leaf)[1] if case == "unstack" else leaf
+        out = T.gelu(a)
+        g = r.normal(out.shape)
+        out.backward(g)
+        want_out, want_grad = _gelu_two_buffers(a.data, g)
+        assert out.data.flags.c_contiguous and out.data.flags.owndata
+        assert out.data.tobytes() == want_out.tobytes()
+        grad = leaf.grad[1] if case == "unstack" else leaf.grad
+        assert grad.tobytes() == want_grad.tobytes()
+        if case == "unstack":
+            assert not leaf.grad[0].any() and not leaf.grad[2].any()
+
+
+def _gelu_two_buffers(x, g):
+    """GELU's output and input gradient, each formed in place in two
+    buffers of its own, in the order of 0.5·x·(1 + t) and of
+    g·(0.5(1 + t) + 0.5·x·(1 − t²)·sqrt(2/pi)(1 + 3·0.044715·x²))."""
+    c, s = 0.044715, np.sqrt(2.0 / np.pi)
+    t = np.multiply(x, x, out=np.empty_like(x))
+    t *= x
+    t *= c
+    t += x
+    t *= s
+    np.tanh(t, out=t)
+    out = np.add(t, 1.0, out=np.empty_like(x))
+    out *= 0.5
+    out *= x
+    du = np.multiply(x, x, out=np.empty_like(x))
+    du *= 3.0 * c
+    du += 1.0
+    du *= s
+    d = np.multiply(t, t, out=np.empty_like(x))
+    np.subtract(1.0, d, out=d)
+    d *= 0.5
+    d *= x
+    d *= du
+    np.add(t, 1.0, out=du)
+    du *= 0.5
+    d += du
+    d *= g
+    return out, d
+
+
+def test_block_budget_moves_no_bit_in_a_default_train_step(tmp_path, monkeypatch):
+    """A seed-0 batch-8 loss of the default model, its gradients and two
+    greedy captions are byte-equal at the default block budget and at one
+    so small that every attention call of the step runs one leading index
+    a block and every GELU call above 1,024 elements runs in blocks."""
+    from ccx import config, data, trainer
+
+    cfg = dict(config.DEFAULTS)
+    manifest = data.generate_dataset(8, 0, tmp_path, image_size=cfg["encoder.image_size"])
+    model = trainer.build_model(cfg)
+    samples = [(*data.load_images(rec, manifest.parent), model.caption_ids(rec.captions[0]))
+               for rec in data.load_manifest(manifest)]
+
+    def run():
+        model.store.zero_grad()
+        loss = model.batch_loss(samples)
+        loss.backward()
+        grads = [None if p.tensor.grad is None else p.tensor.grad.tobytes()
+                 for p in model.store.params.values()]
+        return loss.item(), grads, [model.generate(*s[:2])[1] for s in samples[:2]]
+
+    want = run()
+    monkeypatch.setattr(T, "_BLOCK", 1 << 12)
+    assert run() == want
 
 
 def test_backward_peak_memory_stays_near_forward_live_bytes():
