@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import nn
+from . import data, nn
 from . import tensor as T
 
 PROMPT = ("This is Image1 <image1>. This is Image2 <image2>. "
@@ -72,17 +72,24 @@ class Vocabulary:
                         if self.tokens[i] not in SPECIALS)
 
     def save(self, path):
-        Path(path).write_text("CCVOCAB 1\n" + "\n".join(self.tokens) + "\n")
+        Path(path).write_text("CCVOCAB 1\n" + "\n".join(self.tokens) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path):
-        lines = Path(path).read_text().splitlines()
+        """The vocabulary ``save`` wrote to ``path``, one token a line; a
+        malformed file raises ``ValueError`` naming it."""
+        lines = data.read_lines(path)
         if not lines or lines[0] != "CCVOCAB 1":
             raise ValueError(f"{path}: missing CCVOCAB 1 header")
         toks = lines[1:]
         if tuple(toks[:5]) != SPECIALS:
             raise ValueError(f"{path}: specials out of place")
-        return cls(toks[5:])
+        if len(set(toks)) != len(toks):
+            raise ValueError(f"{path}: a token is listed twice")
+        try:
+            return cls(toks[5:])
+        except ValueError as exc:  # too many tokens
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass

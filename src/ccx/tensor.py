@@ -17,6 +17,19 @@ buffers it allocated itself, never its upstream gradient, an input's
 data or an array it saved; accumulation rebinds ``.grad``, so code that
 changes a gradient rebinds it too. All data is float64; shapes are
 plain numpy shapes.
+
+Reductions and products keep out of numpy's axis loops, which walk
+narrow rows slowly. Sums over the last axis (layer norm's means and
+variance, the softmax's row sums, attention's D) are ``np.einsum`` row
+sums: einsum sums each row in one loop, so a row's bits do not depend on
+how many rows share the call, which a GEMV's (``x @ ones``) do on
+OpenBLAS. Sums over leading axes are one BLAS product,
+ones(n) @ g.reshape(n, -1) (``_unbroadcast``). The softmax multiplies
+by the reciprocal of each row sum. Linear's dx takes a contiguous copy
+of wᵀ and attention's backward builds [V | −1]ᵀ contiguous: a GEMM on
+such a transposed view gives the same bits more slowly. Against numpy's
+sums and divides these move low-order bits: the seed-0 default train
+step's first loss reads 4.181718628046946 for 4.181718628046945.
 """
 
 from __future__ import annotations
@@ -151,10 +164,20 @@ def _accum(t, g):
 
 
 def _unbroadcast(g, shape):
-    """Reduce gradient ``g`` back to ``shape`` after numpy broadcasting."""
+    """Reduce gradient ``g`` back to ``shape`` after numpy broadcasting.
+
+    The leading axes that ``shape`` lacks are summed as one BLAS product,
+    ones(n) @ g.reshape(n, -1), rather than by numpy's axis loops, which
+    walk narrow rows slowly (19 against 49 µs for a [4, 8, 64, 32]
+    gradient). This serves linear's db and dW, layer norm's gain and bias
+    and the broadcasting ``add``, ``sub`` and ``mul``. It moves low-order
+    bits against ``g.sum(axis)``: within 1e-14 of Σ|g| (2.9e-16 over 300
+    random calls). Axes of length 1 in ``shape`` are summed by numpy.
+    """
     extra = g.ndim - len(shape)
     if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
+        n, tail = math.prod(g.shape[:extra]), g.shape[extra:]
+        g = (np.ones(n) @ g.reshape(n, math.prod(tail))).reshape(tail)
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
@@ -217,7 +240,12 @@ def linear(x, w, b):
     The forward adds the bias in place on the product; the backward forms
     dx = g wᵀ, dW = Σ xᵀ g (a product per leading index, then summed over
     the leading axes) and db = Σ g, skipping the inputs that need no
-    gradient.
+    gradient. wᵀ is copied to a contiguous [m, n] array first: the product
+    on a transposed view gives the same bits, 1.5-1.8x slower on the
+    enhancer's [2, 8, 64, ·] rows (copy included) and no faster on the
+    decoder's. db and the
+    sum of dW over the leading axes are ``_unbroadcast``'s one BLAS
+    product each, within 1e-14 of Σ|g| of numpy's axis sums.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     xs, ws, bs = x.data.shape, w.data.shape, b.data.shape
@@ -234,7 +262,7 @@ def linear(x, w, b):
         if b.requires_grad:
             _accum(b, _unbroadcast(g, bs))
         if x.requires_grad:
-            _accum(x, g @ w.data.T)
+            _accum(x, g @ np.ascontiguousarray(w.data.T))
         if w.requires_grad:
             _accum(w, _unbroadcast(x.data.swapaxes(-1, -2) @ g, ws))
 
@@ -312,12 +340,6 @@ def _split_heads(x, heads):
     return x.reshape(s[:-1] + (heads, s[-1] // heads)).swapaxes(-3, -2)
 
 
-def _merge_heads(x):
-    """[..., heads, T, dh] -> a new [..., T, heads*dh] array."""
-    *lead, heads, t, dh = x.shape
-    return x.swapaxes(-3, -2).reshape(*lead, t, heads * dh)
-
-
 def _blocks(p, *arrays):
     """Views of ``p`` [..., heads, Tq, Tk] and of ``arrays`` [..., heads, T, ·]
     of the same leading shape, over runs of their flattened leading
@@ -347,25 +369,31 @@ def attend(q, k, v, heads, scale, mask=None):
     The work runs in blocks of the flattened leading axes, each holding at
     most ``_BLOCK`` probabilities (at least one leading index), so a
     block's scores stay in cache from the score product, through the mask,
-    the exponentials, the row sums and the divide, to the product with V.
+    the exponentials, the row sums and the normalizing multiply, to the
+    product with V.
     P, the context and the gradients stay whole arrays, allocated once;
     the blocks write into their head-split views. Every element takes the
     same operations whatever the blocks, so blocking moves no bit.
     ``scale`` is folded into the query heads before the score product.
-    The softmax exponentiates the scores unshifted and divides by the row
-    sums. When a row sum is not finite or below 1e-250 (a row overflowed,
+    The softmax exponentiates the scores unshifted, takes the row sums by
+    einsum and multiplies each row by the reciprocal of its sum: one
+    divide per row, not one per probability. P stays within 1e-14
+    relative of the textbook formula (4.6e-15 over 300 random calls).
+    When a row sum is not finite or below 1e-250 (a row overflowed,
     underflowed, holds a NaN or is fully masked), every block is formed
-    again with every row shifted by its maximum first, the textbook
-    formula; no input emits a floating-point warning.
+    again with every row shifted by its maximum first, then normalized the
+    same way; no input emits a floating-point warning.
     Returns ``(context, P)``: the context [..., Tq, dv] as a tensor whose
     parents are ``(q, k, v)``, and P [..., heads, Tq, Tk] as a plain
     array; with Tq = 0 or an empty leading axis both are empty, and so are
     the gradients that are not zeros. The backward walks the same blocks:
     dV, then FlashAttention-2's identity dS = P ∘ (dP − D) with D =
     rowsum(dO ∘ O) per head, which equals rowsum(dP ∘ P) without a pass
-    over P, forming dP − D as one product [dO | −D] [V | 1]ᵀ, then dQ and
-    dK with ``scale`` applied; it reads O as a view of the context and
-    recomputes nothing.
+    over P, an einsum over the head-split views of dO and O with no
+    product array. dP − D is one product [dO | D] [V | −1]ᵀ, with [V | −1]ᵀ
+    built as a contiguous [..., dh + 1, Tk] array, then dQ and dK with
+    ``scale`` applied; it reads O as a view of the context and recomputes
+    nothing.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     qs, ks, vs = q.data.shape, k.data.shape, v.data.shape
@@ -397,10 +425,10 @@ def attend(q, k, v, heads, scale, mask=None):
                 if shift:
                     s -= s.max(axis=-1, keepdims=True)
                 np.exp(s, out=s)
-                den = s.sum(axis=-1, keepdims=True)
+                den = np.einsum("...j->...", s)
                 if not (shift or den.min() >= 1e-250 and den.max() < np.inf):  # NaN fails too
                     break
-                s /= den
+                s *= np.reciprocal(den, out=den)[..., None]
                 np.matmul(s, vb, out=ob)
             else:
                 break
@@ -412,13 +440,14 @@ def attend(q, k, v, heads, scale, mask=None):
         for pb, qb, kb, vb, ob, gb, dqb, dkb, dvb in _blocks(
                 p, qh, kh, vh, oh, *(_split_heads(x, heads) for x in (g, dq, dk, dv))):
             np.matmul(pb.swapaxes(-1, -2), gb, out=dvb)
-            # dS = P ∘ (dP − D) with dP − D = [dO | −D] [V | 1]ᵀ, then in place
+            # dS = P ∘ (dP − D) with dP − D = [dO | D] [V | −1]ᵀ, then in place
             gd = np.empty((*gb.shape[:-1], dh + 1))
             gd[..., :dh] = gb
-            gd[..., dh] = -(gb * ob).sum(axis=-1)
-            vd = np.ones((*vb.shape[:-1], dh + 1))
-            vd[..., :dh] = vb
-            ds = gd @ vd.swapaxes(-1, -2)
+            np.einsum("...j,...j->...", gb, ob, out=gd[..., dh])
+            vt = np.empty((*vb.shape[:-2], dh + 1, vb.shape[-2]))
+            vt[..., :dh, :] = vb.swapaxes(-1, -2)
+            vt[..., dh, :] = -1.0
+            ds = gd @ vt
             ds *= pb
             np.matmul(ds, kb, out=dqb)
             dqb *= scale
@@ -432,37 +461,49 @@ def attend(q, k, v, heads, scale, mask=None):
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    The row means and the variance are row sums by ``np.einsum`` divided
+    by the width: mean = Σx/d, var = Σx̂·x̂/d of the centred rows x̂ (formed
+    once, no x̂² array). einsum sums each row in one loop, so a row's bits
+    do not depend on how many rows share the call. The backward forms g·x̂
+    once, for the gain's gradient and for mean(gy·x̂) = Σ(g·x̂)·gain/d; with
+    mean(gy) = Σg·gain/d, both are einsum row sums against the gain, and
+    gy = g·gain is not multiplied by x̂. The gain's and the bias's
+    gradients are ``_unbroadcast``'s leading-axis sums. Against numpy's
+    ``np.mean``/``np.var`` arithmetic the output and dx move in their
+    low-order bits: within 1e-14 of each row's largest |value| (of
+    |g·gain|·inv for dx), and over 300 random calls within 2.2e-15 and
+    1.9e-15.
+    """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     d = x.data.shape[-1]
     gs, bs = gain.data.shape, bias.data.shape
     if gs != (d,) or bs != (d,):
         raise ShapeError(f"layer_norm affine shapes {gs}/{bs} do not match width {d}")
-    # np.mean's and np.var's arithmetic, with the centred rows formed once
-    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
-    var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    xhat = x.data - (np.einsum("...j->...", x.data) / d)[..., None]
+    var = np.einsum("...j,...j->...", xhat, xhat) / d
+    inv = (1.0 / np.sqrt(var + eps))[..., None]
     xhat *= inv
 
     def bwd(g):
         # dx = (gy − mean(gy) − x̂·mean(gy·x̂))·inv with gy = g·gain, formed
-        # in place in gy; ``gx`` holds g·x̂ (when the gain trains), then gy·x̂,
-        # then x̂·mean(gy·x̂)
-        lead = tuple(range(g.ndim - 1))
-        gx = None
-        if gain.requires_grad:
-            gx = g * xhat
-            _accum(gain, _unbroadcast(gx.sum(axis=lead), gs))
+        # in place in gy; ``gx`` holds g·x̂, then x̂·mean(gy·x̂)
         if bias.requires_grad:
-            _accum(bias, _unbroadcast(g.sum(axis=lead), bs))
+            _accum(bias, _unbroadcast(g, bs))
+        if not (gain.requires_grad or x.requires_grad):
+            return
+        gx = g * xhat
+        if gain.requires_grad:
+            _accum(gain, _unbroadcast(gx, gs))
         if not x.requires_grad:
             return
+        m1 = (np.einsum("...j,j->...", g, gain.data) / d)[..., None]
+        m2 = (np.einsum("...j,j->...", gx, gain.data) / d)[..., None]
         gy = g * gain.data
-        m1 = gy.mean(axis=-1, keepdims=True)
-        gx = np.multiply(gy, xhat, out=gx)
-        m2 = gx.mean(axis=-1, keepdims=True)
         gy -= m1
-        gy -= np.multiply(xhat, m2, out=gx)
+        # one row [d] is its own gain gradient, which the gain may keep
+        gy -= np.multiply(xhat, m2, out=None if gain.requires_grad and g.ndim == 1 else gx)
         gy *= inv
         _accum(x, gy)
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import data, metrics, nn
+from .bridge import Vocabulary
 from .model import CaptionModel, build_vocabulary
 from .optim import AdamW
 from .tensor_io import FormatError, read_cct1, write_cct1
@@ -171,8 +172,20 @@ def save_checkpoint(model: CaptionModel, optimizer: AdamW, path, meta=None):
 
 
 def load_params(model: CaptionModel, path):
-    """Read only a checkpoint's parameters into ``model`` (for inference)."""
+    """Read only a checkpoint's parameters into ``model`` (for inference).
+
+    The checkpoint's ``vocab.txt``, when it has one, must list the model's
+    tokens in the model's order: the embedding and output rows are indexed
+    by token id. A checkpoint without the file loads as it is."""
     path = Path(path)
+    file = path / "vocab.txt"
+    if file.exists():
+        have, want = Vocabulary.load(file).tokens, model.vocab.tokens
+        if have != want:
+            i = next((i for i, (a, b) in enumerate(zip(have, want)) if a != b),
+                     min(len(have), len(want)))
+            raise ValueError(f"{file}: the checkpoint's vocabulary ({len(have)} tokens) "
+                             f"differs from the model's ({len(want)}) at id {i}")
     for p in model.store.params.values():
         arr = read_cct1(path / "params" / f"{p.name}.cct1")
         if arr.shape != p.tensor.shape:

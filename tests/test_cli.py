@@ -216,6 +216,29 @@ def _corrupt_state(trained, tmp_path, text):
     return ckpt
 
 
+# edits of a checkpoint's vocab.txt lines (header, then one token per line:
+# line 6 holds token id 5, the first word after the specials)
+VOCAB_EDITS = pytest.mark.parametrize("edit,message", [
+    (lambda lines: lines[:6] + [lines[7], lines[6]] + lines[8:], "at id 5"),
+    (lambda lines: ["garbage"], "missing CCVOCAB 1 header"),
+    (lambda lines: lines[:-1], "at id {last}"),
+    (lambda lines: lines + lines[-1:], "a token is listed twice"),
+    (lambda lines: lines[:1] + lines[2:], "specials out of place"),
+    (lambda lines: lines + [f"w{i}" for i in range(512)], "exceeds 512"),
+], ids=["swapped", "garbage", "token-missing", "token-repeated", "special-missing",
+        "too-many-tokens"])
+
+
+def _vocab_copy(trained, tmp_path, edit):
+    """A copy of the trained checkpoint whose ``vocab.txt`` lines pass
+    through ``edit``, and the id of its last token."""
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(trained["checkpoint"], ckpt)
+    lines = (ckpt / "vocab.txt").read_text().split("\n")[:-1]
+    (ckpt / "vocab.txt").write_text("\n".join(edit(lines)) + "\n")
+    return ckpt, len(lines) - 2
+
+
 def _manifest_copy(trained, path, edit=lambda obj: obj, extra=""):
     """The CLI dataset's manifest, written to ``path`` with absolute image
     paths, each record's JSON object passed through ``edit``, then ``extra``."""
@@ -296,6 +319,14 @@ class TestTrainInputErrors:
         ckpt = _corrupt_state(trained, tmp_path, text)
         err = self._train(trained, tmp_path, monkeypatch, capsys, "", resume=ckpt)
         assert err.startswith(f"error: {ckpt / 'state'}: {message}")
+
+    @VOCAB_EDITS
+    def test_resume_vocabulary_mismatch(self, trained, tmp_path, monkeypatch, capsys,
+                                        edit, message):
+        ckpt, last = _vocab_copy(trained, tmp_path, edit)
+        err = self._train(trained, tmp_path, monkeypatch, capsys, "", resume=ckpt)
+        assert err.startswith(f"error: {ckpt / 'vocab.txt'}: ")
+        assert message.format(last=last) in err
 
     def test_resume_malformed_cct1(self, trained, tmp_path, monkeypatch, capsys):
         ckpt = tmp_path / "ckpt"
@@ -418,6 +449,34 @@ class TestCaption:
         state = json.loads((ckpt / "state").read_text())
         del state["fingerprint"]
         (ckpt / "state").write_text(json.dumps(state))
+        outs = []
+        for path in (trained["checkpoint"], ckpt):
+            assert main(["caption", "--checkpoint", str(path),
+                         "--config", str(trained["config"]),
+                         "--manifest", str(trained["manifest"]),
+                         "--pair", "pair0000"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    @VOCAB_EDITS
+    @pytest.mark.parametrize("command", [["caption", "--pair", "pair0000"], ["eval-metrics"]])
+    def test_vocabulary_mismatch_io_error(self, trained, tmp_path, capsys, command,
+                                          edit, message):
+        """Token ids index the embedding and output rows: a checkpoint
+        whose vocabulary is not the model's does not decode."""
+        ckpt, last = _vocab_copy(trained, tmp_path, edit)
+        assert main([command[0], "--checkpoint", str(ckpt),
+                     "--config", str(trained["config"]), "--manifest", str(trained["manifest"]),
+                     *command[1:]]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt / 'vocab.txt'}: ")
+        assert message.format(last=last) in err and err.count("\n") == 1
+        assert capsys.readouterr().out == ""
+
+    def test_checkpoint_without_vocabulary_loads(self, trained, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(trained["checkpoint"], ckpt)
+        (ckpt / "vocab.txt").unlink()
         outs = []
         for path in (trained["checkpoint"], ckpt):
             assert main(["caption", "--checkpoint", str(path),

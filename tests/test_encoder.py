@@ -141,6 +141,21 @@ class TestEncodePair:
                 assert got.shape == lead + (64, 32)
                 assert got.data.tobytes() == per_image[cfg.depth + off].data.tobytes()
 
+    def test_batch_of_pairs_equals_single_pair_calls_bitwise(self):
+        """The taps of 8 pairs encoded in one call equal, to the bit, those
+        of 8 calls with one pair each: no op's bits depend on the batch."""
+        cfg = encoder.EncoderConfig()
+        store = ParamStore(Rng(0))
+        r = Rng(11)
+        i1, i2 = (np.clip(0.5 + 0.3 * r.normal((8, 32, 32, 3)), 0, 1) for _ in range(2))
+        batch = encoder.encode_pair(store, i1, i2, cfg)
+        for b in range(8):
+            one = encoder.encode_pair(store, i1[b], i2[b], cfg)
+            pairs = [(batch.taps[off], one.taps[off]) for off in cfg.tap_indices]
+            for got, want in [*pairs, (batch.residual, one.residual)]:
+                for g, w in zip(got, want, strict=True):
+                    assert g.data[b].tobytes() == w.data.tobytes()
+
     def test_gradcheck_through_stacked_pass(self, store, small_cfg):
         i1, i2 = _images(10, 16)
         w1, w2 = (Rng(11 + k).normal((small_cfg.num_patches, small_cfg.d_model))

@@ -94,6 +94,27 @@ class TestMatmul:
         assert out.data.tobytes() == (x @ w + b).tobytes()
 
 
+class TestUnbroadcast:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(0, 8), max_size=3),
+           st.lists(st.integers(1, 6), min_size=1, max_size=3), st.data())
+    def test_near_numpy_sum(self, seed, lead, tail, data):
+        """The leading axes summed by one BLAS product and the broadcast
+        length-1 axes by numpy are within 1e-14 of Σ|g| of ``g.sum``
+        (the scale of the sum: a sum that cancels keeps no relative
+        precision)."""
+        g = Rng(seed).normal(tuple(lead) + tuple(tail))
+        ones = data.draw(st.lists(st.booleans(), min_size=len(tail), max_size=len(tail)))
+        shape = tuple(1 if one else n for one, n in zip(ones, tail))
+        got = T._unbroadcast(g, shape)
+        axes = tuple(range(len(lead))) + tuple(len(lead) + i for i, one in enumerate(ones)
+                                               if one)
+        want = g.sum(axis=axes).reshape(shape)
+        bound = np.abs(g).sum(axis=axes).reshape(shape)
+        assert got.shape == shape
+        assert (np.abs(got - want) <= 1e-14 * bound).all()
+
+
 class TestElementwise:
     def test_sigmoid_zero(self):
         assert T.sigmoid(T.Tensor(0.0)).item() == 0.5
@@ -204,6 +225,21 @@ def _shifted_softmax(s):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _rowsum(a, b=None):
+    """Row sums over the last axis by einsum, of ``a`` or of a ∘ b."""
+    return np.einsum("...j->...", a) if b is None else np.einsum("...j,...j->...", a, b)
+
+
+def _normalize(e):
+    """e times the reciprocal of each row sum, as T.attend normalizes."""
+    return e * (1.0 / _rowsum(e))[..., None]
+
+
+def _shifted_softmax_bitwise(s):
+    """The shifted softmax in T.attend's arithmetic."""
+    return _normalize(np.exp(s - s.max(axis=-1, keepdims=True)))
+
+
 class TestSoftmax:
     """The softmax inside ``T.attend``."""
 
@@ -249,7 +285,7 @@ class TestSoftmax:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             p = _masked_softmax_rows(z, mask)
-        want = _shifted_softmax(z + mask)
+        want = _shifted_softmax_bitwise(z + mask)
         nan = np.isnan(want)
         assert nan[2].all() == (row is not None and np.isnan(row).any())
         assert np.array_equal(np.isnan(p), nan)
@@ -270,6 +306,22 @@ class TestSoftmax:
         np.testing.assert_allclose(p.sum(axis=-1), np.ones(rows), atol=1e-12)
 
 
+ROW_WIDTHS = (8, 12, 32, 48, 128, 192)
+ROW_COUNTS = (2, 3, 9, 64, 150)
+
+
+def _row_chunks(run, rows):
+    """``run(lo, hi)`` on rows lo to hi of an op's inputs, for each row
+    alone and for runs of ``rows // 2`` rows, paired with the same rows
+    cut from ``run(0, rows)``; every input row is copied into arrays of its
+    own, as a caller holding fewer rows would have them."""
+    whole = run(0, rows)
+    for step in {1, max(1, rows // 2)}:
+        for lo in range(0, rows, step):
+            hi = min(rows, lo + step)
+            yield run(lo, hi), [a[lo:hi] for a in whole]
+
+
 def _causal(tq, tk):
     """The decoder's mask: query row i sees keys up to tk - tq + i."""
     return np.triu(np.full((tq, tk), -1e30), k=tk - tq + 1)
@@ -284,8 +336,7 @@ def _per_head(q, k, v, heads, scale, mask):
             return x[..., h * dh:(h + 1) * dh]
 
         s = cols(q) @ np.swapaxes(cols(k), -1, -2) * scale + mask
-        e = np.exp(s)
-        p = e / e.sum(axis=-1, keepdims=True)
+        p = _normalize(np.exp(s))
         ctxs.append(p @ cols(v))
         probs.append(p)
     return np.concatenate(ctxs, axis=-1), np.stack(probs, axis=-3)
@@ -311,21 +362,23 @@ def _attend_grads_reference(q, k, v, heads, scale, mask, g):
 def _attend_grads_from_unmerged_context(q, k, v, heads, scale, mask, g):
     """dQ, dK and dV by T.attend's backward, with D = rowsum(dO ∘ O) read
     from a separately kept copy of the unmerged per-head contexts O."""
+    def merge(x):
+        return np.swapaxes(x, -3, -2).reshape(*x.shape[:-3], x.shape[-2], -1)
+
     qh, kh, vh = (T._split_heads(x, heads) for x in (q, k, v))
     p = (qh * scale) @ np.swapaxes(kh, -1, -2)
     if mask is not None:
         p += mask
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p = _normalize(np.exp(p))
     o = p @ vh
     g = T._split_heads(g, heads)
-    dv = T._merge_heads(np.swapaxes(p, -1, -2) @ g)
-    ds = g @ np.swapaxes(vh, -1, -2)
-    ds -= (g * o).sum(axis=-1, keepdims=True)
+    dv = merge(np.swapaxes(p, -1, -2) @ g)
+    ds = g @ np.ascontiguousarray(np.swapaxes(vh, -1, -2))
+    ds -= _rowsum(g, o)[..., None]
     ds *= p
-    dq = T._merge_heads(ds @ kh)
+    dq = merge(ds @ kh)
     dq *= scale
-    dk = T._merge_heads(np.swapaxes(ds, -1, -2) @ qh)
+    dk = merge(np.swapaxes(ds, -1, -2) @ qh)
     dk *= scale
     return dq, dk, dv
 
@@ -428,7 +481,28 @@ class TestAttend:
             warnings.simplefilter("error")
             _, p = T.attend(T.Tensor(z), eye, eye, 1, 1.0)
         assert p.size > T._BLOCK
-        assert p[:, 0].tobytes() == _shifted_softmax(z).tobytes()
+        assert p[:, 0].tobytes() == _shifted_softmax_bitwise(z).tobytes()
+
+    @pytest.mark.parametrize("width", ROW_WIDTHS)
+    @pytest.mark.parametrize("rows", ROW_COUNTS)
+    def test_rows_do_not_depend_on_their_count(self, rows, width):
+        """Each row of the leading axis (a sample: three queries in two
+        heads, six probability rows, over its own ``width`` keys) gets the
+        same P and context bits in a call over all rows, alone and among
+        half of them. A query row is not cut alone: numpy gives a one-row
+        product to GEMV and more rows to GEMM, whose bits differ on this
+        BLAS."""
+        r = Rng(1000 * rows + width)
+        q, k, v = r.normal((rows, 3, 8)), r.normal((rows, width, 8)), r.normal((rows, width, 8))
+        mask = _causal(3, width)
+
+        def run(lo, hi):
+            ctx, p = T.attend(*(T.Tensor(np.array(a[lo:hi])) for a in (q, k, v)), 2, 0.5, mask)
+            return ctx.data, p
+
+        for got, want in _row_chunks(run, rows):
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
 
     @pytest.mark.parametrize("qshape,kshape", [
         ((0, 3, 4), (0, 5, 4)),  # an empty leading axis
@@ -576,8 +650,9 @@ class TestLayerNorm:
         r = Rng(seed)
         x = r.uniform((2,) * lead + (3, d)) * 10.0 ** (r.randint(7) - 3)
         g, b = r.normal((d,)), r.normal((d,))
-        mu, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
-        want = (x - mu) * (1.0 / np.sqrt(var + 1e-5)) * g + b
+        xc = x - (_rowsum(x) / d)[..., None]
+        var = (_rowsum(xc, xc) / d)[..., None]
+        want = xc * (1.0 / np.sqrt(var + 1e-5)) * g + b
         out = T.layer_norm(T.Tensor(x), T.Tensor(g), T.Tensor(b))
         assert out.data.tobytes() == want.tobytes()
 
@@ -589,13 +664,53 @@ class TestLayerNorm:
         x = T.Tensor(r.normal(shape) * 10.0 ** (r.randint(7) - 3), requires_grad=True)
         gain, g = r.normal((d,)), r.normal(shape)
         T.layer_norm(x, T.Tensor(gain), T.Tensor(np.zeros(d))).backward(g)
-        xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
-        inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d + 1e-5)
+        xhat = x.data - (_rowsum(x.data) / d)[..., None]
+        inv = (1.0 / np.sqrt(_rowsum(xhat, xhat) / d + 1e-5))[..., None]
         xhat *= inv
+        m1 = (np.einsum("...j,j->...", g, gain) / d)[..., None]
+        m2 = (np.einsum("...j,j->...", g * xhat, gain) / d)[..., None]
+        assert x.grad.tobytes() == ((g * gain - m1 - xhat * m2) * inv).tobytes()
+
+    @pytest.mark.parametrize("width", ROW_WIDTHS)
+    @pytest.mark.parametrize("rows", ROW_COUNTS)
+    def test_rows_do_not_depend_on_their_count(self, rows, width):
+        """Each row's output and input gradient have the same bits in a
+        call over all rows, alone and among half of them."""
+        r = Rng(1000 * rows + width)
+        x, g = r.normal((rows, width)), r.normal((rows, width))
+        gain, bias = r.normal((width,)), r.normal((width,))
+
+        def run(lo, hi):
+            xt = T.Tensor(np.array(x[lo:hi]), requires_grad=True)
+            out = T.layer_norm(xt, T.Tensor(gain, requires_grad=True), T.Tensor(bias))
+            out.backward(np.array(g[lo:hi]))
+            return out.data, xt.grad
+
+        for got, want in _row_chunks(run, rows):
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.integers(1, 64))
+    def test_output_and_input_gradient_near_mean_var_formula(self, seed, lead, d):
+        """Within 1e-14 of each row's largest |value| of the np.mean /
+        np.var arithmetic; for dx, the largest |g·gain|·inv, the size of
+        the terms whose difference it is (at width 2 they cancel to a
+        thousandth of it and less)."""
+        r = Rng(seed)
+        shape = (3,) * lead + (4, d)
+        x = T.Tensor(r.uniform(shape) * 10.0 ** (r.randint(7) - 3), requires_grad=True)
+        gain, bias, g = r.normal((d,)), r.normal((d,)), r.normal(shape)
+        out = T.layer_norm(x, T.Tensor(gain), T.Tensor(bias))
+        out.backward(g)
+        inv = 1.0 / np.sqrt(x.data.var(axis=-1, keepdims=True) + 1e-5)
+        xhat = (x.data - x.data.mean(axis=-1, keepdims=True)) * inv
         gy = g * gain
-        m1 = gy.mean(axis=-1, keepdims=True)
-        m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-        assert x.grad.tobytes() == ((gy - m1 - xhat * m2) * inv).tobytes()
+        dx = (gy - gy.mean(axis=-1, keepdims=True)
+              - xhat * (gy * xhat).mean(axis=-1, keepdims=True)) * inv
+        want = xhat * gain + bias
+        assert (np.abs(out.data - want) <= 1e-14 * np.abs(want).max(axis=-1, keepdims=True)).all()
+        assert (np.abs(x.grad - dx) <= 1e-14 * np.abs(gy * inv).max(axis=-1, keepdims=True)).all()
 
     def test_input_gradient_same_bits_with_constant_or_trained_operands(self):
         r = Rng(15)
