@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import config as cfgmod
 from . import data, metrics, trainer, verify
+from .rng import Rng
 from .trainer import NumericAbort
 
 EXIT_USAGE = 2
@@ -138,6 +139,10 @@ def cmd_gradcheck(args):
     if not 0 < args.tolerance < math.inf:  # NaN too: no error is >= NaN
         return _error(f"--tolerance must be a positive finite number, got {args.tolerance}",
                       EXIT_USAGE)
+    try:
+        Rng(args.seed)
+    except ValueError as exc:
+        return _error(f"--seed: {exc}", EXIT_USAGE)
     errors = verify.check_module(args.module, seed=args.seed)
     for group, err in sorted(verify.group_summary(errors).items()):
         print(f"{group}: max rel err {err:.3e}")

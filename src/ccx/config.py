@@ -8,6 +8,7 @@ from .bridge import DecoderConfig
 from .data import IterationMode, read_lines
 from .encoder import EncoderConfig
 from .enhancer import EnhancerConfig
+from .rng import Rng
 
 
 class ConfigError(ValueError):
@@ -116,7 +117,8 @@ def load_config(path):
                for n in (1, 2, 3)]
     checks += [_at_least(f"stage{n}.{key}", low) for n in (1, 2, 3)
                for key, low in (("epochs", 0), ("batch_size", 1), ("base_lr", 0))]
-    checks += [_at_least("train.grad_clip", 0, strict=True),
+    checks += [("train.seed", lambda c: Rng(c["train.seed"])),
+               _at_least("train.grad_clip", 0, strict=True),
                _at_least("train.weight_decay", 0), _at_least("train.encoder_lr_ratio", 0)]
     for name, check in checks:
         try:

@@ -198,9 +198,9 @@ def generate_dataset(n_pairs, seed, out_dir, image_size=32, split="train",
         raise ValueError("weight must be >= 1")
     if image_size < 11:  # _sample_object keeps object centres 5 pixels inside
         raise ValueError("image_size must be >= 11")
+    root = Rng(seed)  # refuses a bad seed before the directory exists
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    root = Rng(seed)
     records = []
     for i in range(n_pairs):
         r = root.fork(f"pair{i}")

@@ -37,6 +37,8 @@ class Rng:
     """Splitmix64 stream addressed by an incrementing counter."""
 
     def __init__(self, seed):
+        if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 1 << 64):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
         self.seed = np.uint64(seed)
         self.counter = np.uint64(0)
 

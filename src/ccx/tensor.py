@@ -28,13 +28,21 @@ ones(n) @ g.reshape(n, -1) (``_unbroadcast``). The softmax multiplies
 by the reciprocal of each row sum. Linear's dx takes a contiguous copy
 of wᵀ and attention's backward builds [V | −1]ᵀ contiguous: a GEMM on
 such a transposed view gives the same bits more slowly. Against numpy's
-sums and divides these move low-order bits: the seed-0 default train
-step's first loss reads 4.181718628046946 for 4.181718628046945.
+sums and divides these move low-order bits.
+
+``attend`` and ``gelu`` work in cache blocks that write disjoint slices
+of their outputs. ``_in_runs`` cuts a block list into one contiguous run
+per CPU of the affinity mask and runs all but the first on worker
+threads, only when every run gets at least one full block; no bit
+depends on the runs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -51,6 +59,81 @@ _GELU_C = 0.044715
 # slice of attention probabilities, and the four arrays a GELU block
 # works in together.
 _BLOCK = 1 << 17
+
+# The CPUs in this process's affinity mask at import (``taskset`` limits
+# them): the most runs ``_in_runs`` cuts a block list into.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+# One task queue per worker thread, started by the first call that needs it
+_WORKERS = []
+_WORKERS_LOCK = threading.Lock()
+
+
+def _forget_workers():
+    """In a forked child: the parent's worker threads do not exist here."""
+    global _WORKERS_LOCK
+    _WORKERS.clear()
+    _WORKERS_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _work(tasks):
+    """A worker thread's loop over the tasks ``_in_runs`` hands it."""
+    while True:
+        _run_task(*tasks.get())
+
+
+def _run_task(run, blocks, args, post):
+    """Post ``run(blocks, *args)``, or the exception it raised, which the
+    waiting caller re-raises. The task's arrays die with this frame, so
+    the worker holds none of them while it waits for the next task."""
+    try:
+        post.put((True, run(blocks, *args)))
+    except BaseException as exc:  # handed to the caller, which raises it
+        post.put((False, exc))
+
+
+def _workers(n):
+    """The task queues of ``n`` worker threads, starting those not running."""
+    with _WORKERS_LOCK:
+        while len(_WORKERS) < n:
+            tasks = queue.SimpleQueue()
+            threading.Thread(target=_work, args=(tasks,), daemon=True,
+                             name=f"ccx-blocks-{len(_WORKERS) + 1}").start()
+            _WORKERS.append(tasks)
+        return _WORKERS[:n]
+
+
+def _in_runs(run, blocks, size, budget, *args):
+    """``run(blocks, *args)`` over contiguous runs of ``blocks``, one run
+    per CPU, and the results in run order: ``[run(blocks, *args)]`` when
+    ``size`` values (of which a block holds at most ``budget``) fill fewer
+    than two CPUs with a full block each. Runs 2.. go to worker threads
+    while this thread does the first; every run finishes before an
+    exception of any run is raised. ``run`` must write only its own
+    blocks' slices and read no state another thread changes; numpy
+    releases the interpreter lock in the products and elementwise passes,
+    so the runs overlap.
+    """
+    if size < 2 * budget or _CPUS < 2:  # one run; a cheap test, as most calls take it
+        return [run(blocks, *args)]
+    n = min(_CPUS, size // budget, len(blocks))
+    cut = [len(blocks) * i // n for i in range(n + 1)]
+    posts = []
+    for tasks, lo, hi in zip(_workers(n - 1), cut[1:], cut[2:]):
+        posts.append(queue.SimpleQueue())
+        tasks.put((run, blocks[lo:hi], args, posts[-1]))
+    try:
+        results = [run(blocks[:cut[1]], *args)]
+    finally:  # the workers write into the caller's arrays: wait for every one
+        posted = [post.get() for post in posts]
+    for ok, value in posted:
+        if not ok:
+            raise value
+        results.append(value)
+    return results
 
 
 class ShapeError(ValueError):
@@ -286,29 +369,40 @@ def gelu(a):
     The forward runs in blocks of at most ``_BLOCK`` / 4 elements of the
     input read in C order: the input, the output, the derivative and one
     scratch block are live together, and stay in cache through the
-    block's passes. It returns a fresh C-contiguous array. When a graph is
-    recorded, the same pass forms the derivative 0.5(1 + t) + 0.5·x·(1 −
-    t²)·sqrt(2/pi)(1 + 3·0.044715·x²), and the backward is one multiply by
-    it; a call that records no graph forms no derivative. Each element
-    takes the operations of 0.5·x·(1 + t), t = tanh(sqrt(2/pi)·(x +
-    0.044715·x²·x)), and of g·(derivative) in the order those expressions
-    give, with only the exact halvings moved within their products, so no
-    bit depends on the blocks.
+    block's passes; ``_in_runs`` spreads the blocks over the CPUs, with
+    one scratch block per run. It returns a fresh C-contiguous array.
+    When a graph is recorded, the same pass forms the derivative
+    0.5(1 + t) + 0.5·x·(1 − t²)·sqrt(2/pi)(1 + 3·0.044715·x²), and the
+    backward is one multiply by it; a call that records no graph forms no
+    derivative. Each element takes the operations of 0.5·x·(1 + t),
+    t = tanh(sqrt(2/pi)·(x + 0.044715·x²·x)), and of g·(derivative) in the
+    order those expressions give, with only the exact halvings moved
+    within their products, so no bit depends on the blocks or the runs.
     """
     a = as_tensor(a)
     x = a.data
     out = np.empty(x.shape)
     d = np.empty(x.shape) if _GRAD_ENABLED and a.requires_grad else None
     n, step = x.size, _BLOCK // 4
-    if n <= step:  # one block: the whole arrays, with no views to cut
-        blocks = ((x, out, d, np.empty(x.shape)),)
+    if n <= step:  # one block: the whole arrays, with no views to cut or runs to split
+        _gelu_blocks(((x, out, d),))
     else:
         xf, of = x.reshape(-1), out.reshape(-1)
         df = None if d is None else d.reshape(-1)
-        scratch = np.empty(step)  # one block, reused by every block
-        blocks = [(xf[i:i + step], of[i:i + step], None if d is None else df[i:i + step],
-                   scratch[:min(step, n - i)]) for i in range(0, n, step)]
-    for xb, ob, db, t in blocks:
+        _in_runs(_gelu_blocks, [(xf[i:i + step], of[i:i + step],
+                                 None if d is None else df[i:i + step])
+                                for i in range(0, n, step)], n, step)
+    # into an owned array: on 0-d operands ``g * d`` is a numpy scalar
+    return _unary(a, out, lambda g: np.multiply(g, d, out=np.empty(d.shape)))
+
+
+def _gelu_blocks(blocks):
+    """GELU's forward, and its derivative where the block has a buffer for
+    it, over ``blocks`` of (input, output, derivative) with one scratch
+    block for the run."""
+    scratch = np.empty(blocks[0][0].shape)  # the first block is the largest
+    for xb, ob, db in blocks:
+        t = scratch if xb.shape == scratch.shape else scratch[:xb.size]
         # x·x, not x**3 (libm pow, an order of magnitude slower)
         np.multiply(xb, xb, out=t)
         t *= xb
@@ -330,8 +424,6 @@ def gelu(a):
             db *= du
             db += ob  # ob holds 0.5·(1 + t) here
         ob *= xb
-    # into an owned array: on 0-d operands ``g * d`` is a numpy scalar
-    return _unary(a, out, lambda g: np.multiply(g, d, out=np.empty(d.shape)))
 
 
 def _split_heads(x, heads):
@@ -373,12 +465,13 @@ def attend(q, k, v, heads, scale, mask=None):
     product with V.
     P, the context and the gradients stay whole arrays, allocated once;
     the blocks write into their head-split views. Every element takes the
-    same operations whatever the blocks, so blocking moves no bit.
+    same operations whatever the blocks, so blocking moves no bit, and
+    neither does ``_in_runs`` spreading the blocks over the CPUs.
     ``scale`` is folded into the query heads before the score product.
     The softmax exponentiates the scores unshifted, takes the row sums by
     einsum and multiplies each row by the reciprocal of its sum: one
-    divide per row, not one per probability. P stays within 1e-14
-    relative of the textbook formula (4.6e-15 over 300 random calls).
+    divide per row, not one per probability, which moves P's low-order
+    bits against the textbook formula.
     When a row sum is not finite or below 1e-250 (a row overflowed,
     underflowed, holds a NaN or is fully masked), every block is formed
     again with every row shifted by its maximum first, then normalized the
@@ -414,50 +507,64 @@ def attend(q, k, v, heads, scale, mask=None):
     out = np.empty(qs[:-1] + vs[-1:])
     oh = _split_heads(out, heads)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the unshifted pass stops at the first bad row sum, and the
-        # shifted pass then forms every block again
-        for shift in (False, True):
-            for pb, qb, kb, vb, ob in _blocks(p, qh, kh, vh, oh):
-                s = np.matmul(qb * scale, kb.swapaxes(-1, -2), out=pb)
-                if mask is not None:
-                    s += mask
-                if shift:
-                    s -= s.max(axis=-1, keepdims=True)
-                np.exp(s, out=s)
-                den = np.einsum("...j->...", s)
-                if not (shift or den.min() >= 1e-250 and den.max() < np.inf):  # NaN fails too
-                    break
-                s *= np.reciprocal(den, out=den)[..., None]
-                np.matmul(s, vb, out=ob)
-            else:
-                break
+    # a run stops at its first bad row sum, and the shifted pass then forms
+    # every block again
+    blocks = _blocks(p, qh, kh, vh, oh)
+    if not all(_in_runs(_attend_blocks, blocks, p.size, _BLOCK, scale, mask, False)):
+        _in_runs(_attend_blocks, blocks, p.size, _BLOCK, scale, mask, True)
 
     def bwd(g):
-        dh = vs[-1] // heads
         # no block writes the gradients when no query attends: they are zeros
         dq, dk, dv = ((np.empty if p.size else np.zeros)(shape) for shape in (qs, ks, vs))
-        for pb, qb, kb, vb, ob, gb, dqb, dkb, dvb in _blocks(
-                p, qh, kh, vh, oh, *(_split_heads(x, heads) for x in (g, dq, dk, dv))):
-            np.matmul(pb.swapaxes(-1, -2), gb, out=dvb)
-            # dS = P ∘ (dP − D) with dP − D = [dO | D] [V | −1]ᵀ, then in place
-            gd = np.empty((*gb.shape[:-1], dh + 1))
-            gd[..., :dh] = gb
-            np.einsum("...j,...j->...", gb, ob, out=gd[..., dh])
-            vt = np.empty((*vb.shape[:-2], dh + 1, vb.shape[-2]))
-            vt[..., :dh, :] = vb.swapaxes(-1, -2)
-            vt[..., dh, :] = -1.0
-            ds = gd @ vt
-            ds *= pb
-            np.matmul(ds, kb, out=dqb)
-            dqb *= scale
-            np.matmul(ds.swapaxes(-1, -2), qb, out=dkb)
-            dkb *= scale
+        _in_runs(_attend_grad_blocks, _blocks(p, qh, kh, vh, oh, *(
+            _split_heads(x, heads) for x in (g, dq, dk, dv))), p.size, _BLOCK, scale)
         _accum(v, dv)
         _accum(q, dq)
         _accum(k, dk)
 
     return _node(out, (q, k, v), bwd), p
+
+
+def _attend_blocks(blocks, scale, mask, shift):
+    """``attend``'s forward over ``blocks`` of (P, q, k, v, context) head
+    views: False at the first row sum that is not finite or below 1e-250,
+    unless ``shift`` subtracts each row's maximum first."""
+    # numpy's error state is per thread: each run sets its own
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pb, qb, kb, vb, ob in blocks:
+            s = np.matmul(qb * scale, kb.swapaxes(-1, -2), out=pb)
+            if mask is not None:
+                s += mask
+            if shift:
+                s -= s.max(axis=-1, keepdims=True)
+            np.exp(s, out=s)
+            den = np.einsum("...j->...", s)
+            if not (shift or den.min() >= 1e-250 and den.max() < np.inf):  # NaN fails too
+                return False
+            s *= np.reciprocal(den, out=den)[..., None]
+            np.matmul(s, vb, out=ob)
+    return True
+
+
+def _attend_grad_blocks(blocks, scale):
+    """``attend``'s backward over ``blocks`` of (P, q, k, v, context, dO,
+    dQ, dK, dV) head views."""
+    for pb, qb, kb, vb, ob, gb, dqb, dkb, dvb in blocks:
+        dh = vb.shape[-1]
+        np.matmul(pb.swapaxes(-1, -2), gb, out=dvb)
+        # dS = P ∘ (dP − D) with dP − D = [dO | D] [V | −1]ᵀ, then in place
+        gd = np.empty((*gb.shape[:-1], dh + 1))
+        gd[..., :dh] = gb
+        np.einsum("...j,...j->...", gb, ob, out=gd[..., dh])
+        vt = np.empty((*vb.shape[:-2], dh + 1, vb.shape[-2]))
+        vt[..., :dh, :] = vb.swapaxes(-1, -2)
+        vt[..., dh, :] = -1.0
+        ds = gd @ vt
+        ds *= pb
+        np.matmul(ds, kb, out=dqb)
+        dqb *= scale
+        np.matmul(ds.swapaxes(-1, -2), qb, out=dkb)
+        dkb *= scale
 
 
 def layer_norm(x, gain, bias, eps=1e-5):

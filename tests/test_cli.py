@@ -18,6 +18,10 @@ from ccx.tensor_io import FormatError, read_cct1, write_cct1
 
 DATA = Path(__file__).parent / "data"
 
+# seeds outside Rng's [0, 2**64): negative, one past the top, far past it
+BAD_SEEDS = ["-5", "18446744073709551616", str(10**30)]
+SEED_ERROR = "seed must be an integer in [0, 2**64), got "
+
 SMALL_CONFIG = """
 encoder.image_size = 16
 encoder.depth = 4
@@ -120,6 +124,17 @@ class TestGenData:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_seed_out_of_range_usage_error_before_writing(self, tmp_path, capsys, seed):
+        assert main(["gen-data", "--pairs", "2", "--seed", seed,
+                     "--out", str(tmp_path / "x")]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {SEED_ERROR}{seed}\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_largest_seed_generates(self, tmp_path):
+        assert main(["gen-data", "--pairs", "1", "--seed", str(2**64 - 1),
+                     "--out", str(tmp_path / "x"), "--image-size", "16"]) == 0
+
 
 class TestConfigInit:
     def test_toy_profile_round_trips(self, tmp_path, capsys):
@@ -158,6 +173,13 @@ class TestTrain:
         p.write_bytes("# caf\xe9\n".encode("latin-1"))
         assert main(["train", "--config", str(p)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {p}: not UTF-8 text\n"
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_seed_out_of_range_is_usage_error(self, tmp_path, capsys, seed):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"train.seed = {seed}\n")
+        assert main(["train", "--config", str(p)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {p}: train.seed: {SEED_ERROR}{seed}\n"
 
     def test_unknown_key_is_usage_error(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -726,6 +748,15 @@ class TestGradcheck:
         assert main(["gradcheck", "--module", "bridge", "--tolerance", tolerance]) == EXIT_USAGE
         assert capsys.readouterr().err == (
             f"error: --tolerance must be a positive finite number, got {float(tolerance)}\n")
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_seed_out_of_range_is_usage_error(self, monkeypatch, capsys, seed):
+        def check_module(*args, **kwargs):
+            raise AssertionError("a check ran under a bad seed")
+
+        monkeypatch.setattr(verify, "check_module", check_module)
+        assert main(["gradcheck", "--module", "bridge", "--seed", seed]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: --seed: {SEED_ERROR}{seed}\n"
 
 
 def _main_on_manifest(trained, tmp_path, command, manifest):

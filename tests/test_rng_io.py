@@ -42,6 +42,15 @@ class TestRng:
     def test_shuffle_deterministic(self):
         assert Rng(8).shuffle(range(20)) == Rng(8).shuffle(range(20))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, "3", None])
+    def test_seed_outside_range_is_refused(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            Rng(seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(7)])
+    def test_seed_edges_and_numpy_integers_are_taken(self, seed):
+        assert Rng(seed).seed == np.uint64(seed)
+
 
 class TestCCT1:
     def test_round_trip(self, tmp_path):

@@ -2,7 +2,10 @@ import ctypes
 import os
 import subprocess
 import sys
+import threading
+import time
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1160,6 +1163,153 @@ class TestGelu:
             assert not leaf.grad[0].any() and not leaf.grad[2].any()
 
 
+def _attend_in_child(args, want):
+    """A forked child's run of a splitting ``T.attend``: it exits 0 when
+    the context equals ``want``."""
+    ctx, _ = T.attend(*args)
+    assert ctx.data.tobytes() == want
+
+
+class TestRuns:
+    """Blocks cut into one run per CPU, runs 2.. on worker threads. Two
+    CPUs are forced, whatever this host has."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(T, "_CPUS", 2)
+
+    @staticmethod
+    def _splitting_args():
+        """Attention arguments whose P holds two full blocks, as the
+        encoder's does."""
+        r = Rng(95)
+        q, k, v = (r.normal((16, 64, 32)) for _ in range(3))
+        return T.Tensor(q), T.Tensor(k), T.Tensor(v), 4, 0.5
+
+    def test_runs_cover_the_blocks_in_order(self):
+        seen = []
+
+        def run(blocks):
+            seen.append(list(blocks))
+            return sum(blocks)
+
+        assert T._in_runs(run, list(range(5)), 4, 2) == [0 + 1, 2 + 3 + 4]
+        assert sorted(seen) == [[0, 1], [2, 3, 4]]
+        assert T._in_runs(run, list(range(5)), 3, 2) == [10]  # one full block per CPU only
+
+    @pytest.mark.parametrize("bad", [2, 61], ids=["caller-run", "worker-run"])
+    def test_fallback_forms_every_run_again(self, bad):
+        """A score of 1000 in the caller's or the worker's run: the whole
+        of P is the shifted formula's, warning-free."""
+        n = 64  # 2^18 probabilities: two blocks, one per run
+        z = Rng(94).normal((n, 64, 64))
+        z[bad, 5, 7] = 1000.0
+        eye = T.Tensor(np.repeat(np.eye(64)[None], n, axis=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, p = T.attend(T.Tensor(z), eye, eye, 1, 1.0)
+        assert p.size == 2 * T._BLOCK
+        assert p[:, 0].tobytes() == _shifted_softmax_bitwise(z).tobytes()
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["caller-run", "worker-run"])
+    def test_exception_of_a_run_reaches_the_caller_after_every_run(self, monkeypatch,
+                                                                    failing):
+        finished = []
+
+        def run(blocks):
+            if blocks[0] == 2 * failing:
+                raise KeyError("run failed")
+            time.sleep(0.05)  # the failing run raises first
+            finished.append(blocks[0])
+            return blocks
+
+        with pytest.raises(KeyError, match="run failed"):
+            T._in_runs(run, [0, 1, 2, 3], 4, 1)
+        assert finished == [2 * (1 - failing)]
+        args = self._splitting_args()
+        got, _ = T.attend(*args)  # the next split call completes
+        monkeypatch.setattr(T, "_CPUS", 1)
+        want, _ = T.attend(*args)
+        assert got.data.tobytes() == want.data.tobytes()
+
+    def test_forked_child_runs_a_splitting_call(self):
+        import multiprocessing
+
+        args = self._splitting_args()
+        want, _ = T.attend(*args)  # the parent's worker runs
+        assert T._WORKERS
+        with warnings.catch_warnings():
+            # forking a process with threads is what this test checks
+            warnings.simplefilter("ignore", DeprecationWarning)
+            child = multiprocessing.get_context("fork").Process(
+                target=_attend_in_child, args=(args, want.data.tobytes()))
+            child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("the forked child's split call did not finish")
+        assert child.exitcode == 0
+
+    def test_worker_keeps_no_array_of_a_finished_call(self):
+        ctx, p = T.attend(*self._splitting_args())
+        ref = weakref.ref(p)
+        del ctx, p
+        deadline = time.monotonic() + 10  # the worker may still be leaving its task
+        while ref() is not None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert ref() is None
+
+    def test_concurrent_callers_get_their_own_results(self, monkeypatch):
+        """More callers and workers than this host's CPUs, switching often:
+        every caller's P and gradients equal the one-thread call's."""
+        monkeypatch.setattr(T, "_BLOCK", 1 << 12)  # P of 2^16 values: 16 blocks
+        r = Rng(97)
+        inputs = [[r.normal((16, 32, 16)) for _ in range(3)] for _ in range(6)]
+
+        def run(arrays):
+            q, k, v = (T.Tensor(a, requires_grad=True) for a in arrays)
+            ctx, p = T.attend(q, k, v, 4, 0.5)
+            ctx.backward(np.ones(ctx.shape))
+            return [p.tobytes()] + [t.grad.tobytes() for t in (q, k, v)]
+
+        monkeypatch.setattr(T, "_CPUS", 1)
+        want = [run(a) for a in inputs]
+        monkeypatch.setattr(T, "_CPUS", 3)
+        got = [None] * len(inputs)
+
+        def caller(i):
+            for _ in range(5):
+                got[i] = run(inputs[i])
+                assert got[i] == want[i]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(inputs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
+
+    def test_call_below_the_size_rule_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(T, "_WORKERS", [])  # as in a process that split nothing yet
+        before = threading.active_count()
+        r = Rng(96)
+        # caption-greedy's largest attention call: P holds 196,608 < 2 · 2^17
+        q, k = T.Tensor(r.normal((4, 64, 32))), T.Tensor(r.normal((4, 192, 32)))
+        ctx, p = T.attend(q, k, k, 4, 0.5)
+        assert p.size < 2 * T._BLOCK
+        T.gelu(T.Tensor(r.normal((4, 64, 128)), requires_grad=True))  # < 2 · 2^15
+        assert threading.active_count() == before and T._WORKERS == []
+        T.attend(*self._splitting_args())
+        assert threading.active_count() == before + 1 and len(T._WORKERS) == 1
+
+
 def _gelu_two_buffers(x, g):
     """GELU's output and input gradient, each formed in place in two
     buffers of its own, in the order of 0.5·x·(1 + t) and of
@@ -1194,7 +1344,9 @@ def test_block_budget_moves_no_bit_in_a_default_train_step(tmp_path, monkeypatch
     """A seed-0 batch-8 loss of the default model, its gradients and two
     greedy captions are byte-equal at the default block budget and at one
     so small that every attention call of the step runs one leading index
-    a block and every GELU call above 1,024 elements runs in blocks."""
+    a block and every GELU call above 1,024 elements runs in blocks, each
+    with the blocks run on this thread alone and cut into two runs, one
+    on a worker thread."""
     from ccx import config, data, trainer
 
     cfg = dict(config.DEFAULTS)
@@ -1211,9 +1363,13 @@ def test_block_budget_moves_no_bit_in_a_default_train_step(tmp_path, monkeypatch
                  for p in model.store.params.values()]
         return loss.item(), grads, [model.generate(*s[:2])[1] for s in samples[:2]]
 
+    monkeypatch.setattr(T, "_CPUS", 1)
     want = run()
-    monkeypatch.setattr(T, "_BLOCK", 1 << 12)
-    assert run() == want
+    for block in (T._BLOCK, 1 << 12):
+        monkeypatch.setattr(T, "_BLOCK", block)
+        for cpus in (1, 2):
+            monkeypatch.setattr(T, "_CPUS", cpus)
+            assert run() == want, (block, cpus)
 
 
 def test_backward_peak_memory_stays_near_forward_live_bytes():
