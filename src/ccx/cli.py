@@ -49,7 +49,9 @@ def _parser():
 
     e = sub.add_parser("eval-metrics", help="score hypotheses against references")
     e.add_argument("--hyp", help="text file, one hypothesis per line")
-    e.add_argument("--ref", help="text file, references per line separated by ' ||| '")
+    e.add_argument("--ref", help="text file, one line of references per hypothesis, "
+                   "separated by '|||'; an empty or blank reference, or a '|||' "
+                   "at either end of a line, is an error")
     e.add_argument("--checkpoint")
     e.add_argument("--config")
     e.add_argument("--manifest")
@@ -110,9 +112,20 @@ def cmd_caption(args):
     return 0
 
 
+def _references(line, path, lineno):
+    """A ``--ref`` line's references: the pieces between "|||" separators,
+    each of which must hold more than whitespace."""
+    refs = line.split("|||")
+    if any(not r.strip() for r in refs):
+        raise ValueError(f"{path}:{lineno}: empty reference "
+                         f"(references are separated by '|||')")
+    return refs
+
+
 def _corpus_from_files(hyp_path, ref_path):
     hyps = data.read_lines(hyp_path)
-    refs = [line.split(" ||| ") for line in data.read_lines(ref_path)]
+    refs = [_references(line, ref_path, i)
+            for i, line in enumerate(data.read_lines(ref_path), 1)]
     if len(hyps) != len(refs):
         raise ValueError(f"{hyp_path} has {len(hyps)} lines but {ref_path} has {len(refs)}")
     return metrics.make_corpus(

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain, count
+
+import numpy as np
 
 from .bridge import word_tokens
 
@@ -77,18 +79,130 @@ def make_corpus(items):
     return corpus
 
 
-def _counts(tokens, max_n):
-    """A sentence's n-gram counts for n = 1..max_n."""
-    return [Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
-            for n in range(1, max_n + 1)]
+def _ranges(starts, sizes):
+    """The ranges ``starts[i] .. starts[i] + sizes[i] - 1`` concatenated, and
+    for each element the ``i`` of its range."""
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes - starts, sizes)
 
 
-def _keys(entry):
-    """An entry's hypothesis and reference set as tuples: the keys of the
-    ``functools.cache`` tables that BLEU and CIDEr-D build in each call, so
-    each repeated sentence, reference set and pair is scored once per call
-    and no table outlives it. Cached values are shared: never mutate them."""
-    return tuple(entry.hypothesis), tuple(map(tuple, entry.references))
+def _lookup(keys, queries):
+    """The index of each query in the sorted, distinct ``keys``; -1 where it
+    is absent, so an array with one default value appended reads it there."""
+    i = np.searchsorted(keys, queries)
+    hit = i < len(keys)
+    hit[hit] = keys[i[hit]] == queries[hit]
+    return np.where(hit, i, -1)
+
+
+@dataclass
+class _Level:
+    """The n-grams of one order n in a ``_Table``: one row per distinct
+    (sentence, n-gram), the rows grouped by sentence and, within one, in the
+    order of each n-gram's first occurrence, which is the order a ``Counter``
+    of them iterates. An n-gram id is the same in every sentence."""
+    sent: np.ndarray    # sentence of each row
+    gram: np.ndarray    # n-gram id of each row, 0 .. n_ids - 1
+    count: np.ndarray   # its occurrences in the sentence
+    n_ids: int
+    start: np.ndarray   # sentence s has rows start[s] .. start[s + 1] - 1
+    keys: np.ndarray    # sent * n_ids + gram of every row, sorted
+    by_key: np.ndarray  # the row of each sorted key, and -1 after the last
+
+    def rows(self, sentences):
+        """The rows of each given sentence, in order: per row, the position
+        of its sentence in ``sentences``, and the row."""
+        return _ranges(self.start[sentences], np.diff(self.start)[sentences])
+
+    def find(self, sent, gram):
+        """The row of each (sentence, n-gram); -1 where the sentence lacks it."""
+        return self.by_key[_lookup(self.keys, sent * self.n_ids + gram)]
+
+
+def _level(sent, gram, n_ids, n_sentences):
+    """The ``_Level`` of n-grams ``gram`` occurring in sentences ``sent``, one
+    element per occurrence in corpus order."""
+    keys, first, counts = np.unique(sent * n_ids + gram, return_index=True,
+                                    return_counts=True)
+    rows = np.argsort(first)  # the sorted keys' rows in first-occurrence order
+    by_key = np.full(len(rows) + 1, -1)
+    by_key[rows] = np.arange(len(rows))
+    sent = sent[first[rows]]
+    return _Level(sent, gram[first[rows]], counts[rows], n_ids,
+                  np.searchsorted(sent, np.arange(n_sentences + 1)), keys, by_key)
+
+
+@dataclass
+class _Table:
+    """The n-grams of one corpus for n = 1..max_n. ``bleu`` and ``cider_d``
+    each build one per call and keep nothing after it."""
+    sentences: list       # the distinct sentences, as token tuples
+    lengths: np.ndarray   # tokens per sentence
+    hyp: np.ndarray       # each entry's hypothesis sentence
+    entry_set: np.ndarray  # each entry's reference set
+    set_refs: np.ndarray  # the distinct reference sets' sentences, set by set
+    set_start: np.ndarray  # set k is set_refs[set_start[k]:set_start[k + 1]]
+    levels: list          # one _Level per n
+
+    def slots(self):
+        """Entry and reference sentence of each (entry, reference), entry by
+        entry, each entry's references in order."""
+        sizes = np.diff(self.set_start)[self.entry_set]
+        entry, i = _ranges(self.set_start[self.entry_set], sizes)
+        return entry, self.set_refs[i]
+
+    def set_grams(self, lv):
+        """The sorted keys ``set * lv.n_ids + gram`` of the n-grams in any
+        reference of each reference set, and each one's largest count in
+        any one reference of the set."""
+        sets = np.repeat(np.arange(len(self.set_start) - 1), np.diff(self.set_start))
+        member, row = lv.rows(self.set_refs)
+        key = sets[member] * lv.n_ids + lv.gram[row]
+        counts = lv.count[row]
+        order = np.lexsort((counts, key))
+        key, counts = key[order], counts[order]
+        last = np.ones(len(key), bool)  # the last, largest count of each key
+        last[:-1] = key[1:] != key[:-1]
+        return key[last], counts[last]
+
+
+def _table(corpus, max_n):
+    """The ``_Table`` of a corpus's n-grams for n = 1..max_n."""
+    sentence = {}  # token tuple -> sentence index
+    ref_set = {}   # reference set, as token tuples -> set index
+    hyp, entry_set, set_refs = [], [], []
+    for e in corpus:
+        hyp.append(sentence.setdefault(tuple(e.hypothesis), len(sentence)))
+        refs = tuple(map(tuple, e.references))
+        k = ref_set.setdefault(refs, len(ref_set))
+        if k == len(set_refs):
+            set_refs.append([sentence.setdefault(r, len(sentence)) for r in refs])
+        entry_set.append(k)
+    sentences = list(sentence)
+    lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
+    flat = list(chain.from_iterable(sentences))
+    word_id = dict(zip(dict.fromkeys(flat), count()))
+    word = np.fromiter(map(word_id.__getitem__, flat), np.int64, len(flat))
+    sent = np.repeat(np.arange(len(sentences)), lengths)
+    end = np.repeat(np.cumsum(lengths), lengths)  # where each token's sentence ends
+    at = np.arange(len(flat))  # where each n-gram of the current order starts
+    gram, n_ids = word, len(word_id)
+    levels = []
+    for n in range(1, max_n + 1):
+        if n > 1:
+            keep = at + n <= end[at]
+            at = at[keep]
+            # an n-gram is its (n-1)-gram and its last word: both ids are
+            # below len(flat), so the key stays below len(flat) ** 2
+            ids, gram = np.unique(gram[keep] * len(word_id) + word[at + n - 1],
+                                  return_inverse=True)
+            n_ids = len(ids)
+        levels.append(_level(sent[at], gram, n_ids, len(sentences)))
+    sizes = list(map(len, set_refs))
+    return _Table(sentences, lengths, np.array(hyp, np.int64),
+                  np.array(entry_set, np.int64),
+                  np.fromiter(chain.from_iterable(set_refs), np.int64, sum(sizes)),
+                  np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64), levels)
 
 
 def _corpus_mean(corpus, entry_score):
@@ -111,31 +225,25 @@ def bleu(corpus, max_n=4):
     """Corpus BLEU-1..max_n with per-reference clipping, no smoothing."""
     if not corpus:
         raise ValueError("empty corpus")
-    counts_of = cache(lambda sentence: _counts(sentence, max_n))
-
-    @cache
-    def max_counts(refs):
-        """Per n: each n-gram's largest count in any one reference."""
-        out = [{} for _ in range(max_n)]
-        for rc in map(counts_of, refs):
-            for best, counts in zip(out, rc):
-                for g, c in counts.items():
-                    if c > best.get(g, 0):
-                        best[g] = c
-        return out
-
-    match = [0] * max_n
-    total = [0] * max_n
-    hyp_len = 0
-    ref_len = 0
-    for e in corpus:
-        h, refs = _keys(e)
-        hyp_len += len(h)
-        # closest reference length; ties go to the shorter reference
-        ref_len += min((abs(len(r) - len(h)), len(r)) for r in refs)[1]
-        for n, (counts, clip) in enumerate(zip(counts_of(h), max_counts(refs))):
-            match[n] += sum(min(c, clip.get(g, 0)) for g, c in counts.items())
-            total[n] += sum(counts.values())
+    t = _table(corpus, max_n)
+    entry, ref = t.slots()
+    h_len = t.lengths[t.hyp]
+    r_len = t.lengths[ref]
+    # closest reference length; ties go to the shorter reference
+    width = int(t.lengths.max()) + 1
+    closest = np.minimum.reduceat(np.abs(r_len - h_len[entry]) * width + r_len,
+                                  np.searchsorted(entry, np.arange(len(corpus)))) % width
+    hyp_len = int(h_len.sum())
+    ref_len = int(closest.sum())
+    match = []
+    total = []
+    for lv in t.levels:
+        keys, clip = t.set_grams(lv)
+        e, row = lv.rows(t.hyp)  # each entry's hypothesis n-grams
+        clip = np.append(clip, 0)[_lookup(keys, t.entry_set[e] * lv.n_ids + lv.gram[row])]
+        counts = lv.count[row]
+        match.append(int(np.minimum(counts, clip).sum()))
+        total.append(int(counts.sum()))
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / max(hyp_len, 1))
     scores = []
     for n in range(1, max_n + 1):
@@ -210,6 +318,21 @@ def meteor(corpus, alpha=0.9, beta=3.0, gamma=0.5):
         _meteor_score(e.hypothesis, r, alpha, beta, gamma) for r in e.references))
 
 
+def _pair_terms(lv, value, norm, hyp, ref, penalty):
+    """Each distinct (hypothesis, reference) pair's length-penalized clipped
+    tf-idf cosine at one order, from the rows' tf-idf ``value`` and the
+    sentences' ``norm``: the numerator sums over the hypothesis's n-grams in
+    first-occurrence order; 0.0 where a vector is empty."""
+    pair, row = lv.rows(hyp)
+    r_row = lv.find(ref[pair], lv.gram[row])
+    hit = r_row >= 0
+    rv = value[r_row[hit]]
+    num = np.bincount(pair[hit], weights=np.minimum(value[row[hit]], rv) * rv,
+                      minlength=len(hyp))
+    denom = norm[hyp] * norm[ref]
+    return np.divide(penalty * num, denom, out=np.zeros(len(hyp)), where=denom > 0)
+
+
 def cider_d(corpus, max_n=4, sigma=6.0):
     """CIDEr-D over the corpus, reported on the 0..1000 scale.
 
@@ -218,55 +341,33 @@ def cider_d(corpus, max_n=4, sigma=6.0):
     reported value is the corpus mean x100.
     """
     require_entries(len(corpus))
-    counts_of = cache(lambda sentence: _counts(sentence, max_n))
-
-    @cache
-    def ref_set_ngrams(refs):
-        """Per n: the n-grams in any reference of one set."""
-        return [set().union(*grams) for grams in zip(*map(counts_of, refs))]
-
-    # document frequencies over reference sets
-    df = [Counter() for _ in range(max_n)]
-    for e in corpus:
-        for df_n, grams in zip(df, ref_set_ngrams(_keys(e)[1])):
-            df_n.update(grams)
+    t = _table(corpus, max_n)
+    n_sent = len(t.lengths)
+    entry, ref = t.slots()
+    pairs, slot_pair = np.unique(t.hyp[entry] * n_sent + ref, return_inverse=True)
+    hyp, ref = np.divmod(pairs, n_sent)
+    gap, inv = np.unique(t.lengths[hyp] - t.lengths[ref], return_inverse=True)
+    penalty = np.array([math.exp(-(d**2) / (2.0 * sigma**2)) for d in gap.tolist()])[inv]
+    entries_of_set = np.bincount(t.entry_set)
+    n_refs = np.diff(t.set_start)[t.entry_set]
     log_docs = math.log(len(corpus))
-    # idf per distinct n-gram; one in no reference set has its df of 0
-    # clamped to 1, and log(1) = 0 leaves its idf log_docs
-    idf = [{g: log_docs - math.log(d) for g, d in df_n.items()} for df_n in df]
-
-    @cache
-    def vectors(sentence):
-        """Per n: the sentence's tf-idf vector and its norm."""
-        out = []
-        for idf_n, counts in zip(idf, counts_of(sentence)):
-            vec = {g: c * idf_n.get(g, log_docs) for g, c in counts.items()}
-            out.append((vec, math.sqrt(sum(v * v for v in vec.values()))))
-        return out
-
-    @cache
-    def pair_terms(hyp, ref):
-        """Per n: the pair's length-penalized clipped tf-idf cosine; 0.0,
-        which leaves a non-negative sum's bits as they are, where a vector
-        is empty."""
-        delta = len(hyp) - len(ref)
-        penalty = math.exp(-(delta**2) / (2.0 * sigma**2))
-        out = []
-        for (hv, h_norm), (rv, r_norm) in zip(vectors(hyp), vectors(ref)):
-            num = sum(min(hv[g], rv[g]) * rv[g] for g in hv if g in rv)
-            denom = h_norm * r_norm
-            out.append(penalty * num / denom if denom > 0 else 0.0)
-        return out
-
-    def entry(e):
-        h, refs = _keys(e)
-        per_n = [0.0] * max_n
-        for r in refs:
-            for n, term in enumerate(pair_terms(h, r)):
-                per_n[n] += term
-        return 10.0 * sum(s / len(refs) for s in per_n) / max_n
-
-    return _corpus_mean(corpus, entry)
+    score = 0.0
+    for lv in t.levels:
+        # document frequency: the entries with the n-gram in a reference
+        keys, _ = t.set_grams(lv)
+        df = np.bincount(keys % lv.n_ids, weights=entries_of_set[keys // lv.n_ids],
+                         minlength=lv.n_ids)
+        # idf per distinct df; an n-gram in no reference set keeps log_docs
+        df, inv = np.unique(df, return_inverse=True)
+        idf = np.array([log_docs - math.log(d) if d else log_docs for d in df.tolist()])[inv]
+        value = lv.count * idf[lv.gram]
+        norm = np.sqrt(np.bincount(lv.sent, weights=value * value, minlength=n_sent))
+        term = _pair_terms(lv, value, norm, hyp, ref, penalty)
+        # each entry's references in order, then the mean over references
+        mean = np.bincount(entry, weights=term[slot_pair], minlength=len(corpus)) / n_refs
+        score = score + mean
+    # the entry scores summed left to right, as the other metrics sum theirs
+    return _corpus_mean((10.0 * score / max_n).tolist(), float)
 
 
 def s_star_m(bleu4, meteor_score, rouge_score, cider_score):

@@ -1,12 +1,15 @@
 import json
 import os
 import shutil
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ccx import cli, data, trainer, verify
+from ccx import cli, data, metrics, trainer, verify
 from ccx.bridge import OOVError
 from ccx.cli import EXIT_IO, EXIT_NUMERIC, EXIT_USAGE, main
 from ccx.config import ConfigError
@@ -663,6 +666,30 @@ class TestEvalMetrics:
         got = report(hyps.format("\u2028"), refs.format("\x85"))
         assert got == want
 
+    @pytest.mark.parametrize("line", ["a b |||", "||| a b", "a ||| ||| b", "x ||| ",
+                                      "|||", "a |||   ||| b", "a ||||||b"])
+    def test_empty_reference_io_error(self, tmp_path, capsys, line):
+        """An empty or blank piece between separators, or a separator at
+        either end, names its line: '|||' is never scored as a word."""
+        h, r = tmp_path / "h.txt", tmp_path / "r.txt"
+        h.write_text("a b\na b\n")
+        r.write_text(f"a b ||| b a\n{line}\n")
+        assert main(["eval-metrics", "--hyp", str(h), "--ref", str(r)]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"error: {r}:2: empty reference (references are separated by '|||')\n")
+
+    def test_separator_needs_no_spaces(self, tmp_path, capsys):
+        def report(refs):
+            h, r, out = tmp_path / "h.txt", tmp_path / "r.txt", tmp_path / "report.json"
+            h.write_text("a road is built\nthe tree is gone\n")
+            r.write_text(refs)
+            assert main(["eval-metrics", "--hyp", str(h), "--ref", str(r),
+                         "--json-out", str(out)]) == 0
+            return json.loads(out.read_text())
+
+        want = report("a road is built ||| a new road\nthe tree is gone ||| trees\n")
+        assert report("a road is built|||a new road\nthe tree is gone   |||trees\n") == want
+
     def test_line_count_mismatch_io_error(self, tmp_path, capsys):
         h = tmp_path / "h.txt"
         r = tmp_path / "r.txt"
@@ -732,6 +759,59 @@ class TestEvalMetrics:
                      "--manifest", str(trained["manifest"])]) == 0
         out = capsys.readouterr().out
         assert "bleu4" in out and "cider_d" in out
+
+
+def _text_lines(text):
+    """The lines of a text file: "\r\n" and "\r" read as "\n", and a final
+    newline ends the last line."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removesuffix("\n").split("\n") if text else []
+
+
+# pieces that the line and reference rules turn on, mixed with any character
+_TEXT = st.lists(st.one_of(
+    st.sampled_from(["a", "b", " ", "\n", "\r", "\r\n", "|", "|||", " ||| ", ".", "\t",
+                     "\x85", "\u2028", "\x00"]),
+    st.characters(codec="utf-8")), max_size=24).map("".join)
+
+
+@pytest.fixture
+def scored(monkeypatch):
+    """The corpora that ``metrics.evaluate`` was called on."""
+    corpora = []
+    evaluate = metrics.evaluate
+    monkeypatch.setattr(metrics, "evaluate", lambda c: corpora.append(c) or evaluate(c))
+    return corpora
+
+
+class TestTextInputFuzz:
+    """Any text in the --hyp and --ref files gives one entry per line, one
+    error line with exit 3, or exit 2 for fewer than 2 entries; never a
+    traceback."""
+
+    @settings(max_examples=150, deadline=timedelta(seconds=2),
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(hyp=_TEXT, ref=_TEXT)
+    def test_any_text(self, tmp_path, capsys, scored, hyp, ref):
+        h, r = tmp_path / "h.txt", tmp_path / "r.txt"
+        h.write_bytes(hyp.encode())
+        r.write_bytes(ref.encode())
+        scored.clear()
+        code = main(["eval-metrics", "--hyp", str(h), "--ref", str(r)])
+        err = capsys.readouterr().err
+        hyps, refs = _text_lines(hyp), _text_lines(ref)
+        if code == 0:
+            [corpus] = scored
+            assert len(corpus) == len(hyps) == len(refs)
+            for entry, line in zip(corpus, refs):
+                assert len(entry.references) == len(line.split("|||"))
+                assert not any("|||" in w for ref_words in entry.references for w in ref_words)
+            assert err == ""
+        else:
+            assert code in (EXIT_USAGE, EXIT_IO)
+            assert err.startswith("error: ") and err.count("\n") == 1
+            if code == EXIT_USAGE:
+                assert len(hyps) == len(refs) < 2
 
 
 class TestGradcheck:

@@ -1,14 +1,15 @@
-import functools
 import importlib
 import json
 import math
-from collections import defaultdict
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dict_metrics
 from ccx import data, metrics
 from ccx.bridge import word_tokens
 from reference_metrics import ref_report
@@ -251,23 +252,61 @@ POOL = ["a red cup was added", "a red cup was removed", "the red cup moved left"
         "a cup was added", "nothing has changed", "the scene is unchanged"]
 
 
+@pytest.fixture
+def recorded(monkeypatch):
+    """The n-gram tables built and the (hypothesis, reference) sentence
+    pairs scored, as token tuples, in calls made while it is active."""
+    calls = {"tables": [], "pairs": []}
+    table, pair_terms = metrics._table, metrics._pair_terms
+
+    def recording_table(corpus, max_n):
+        calls["tables"].append(table(corpus, max_n))
+        return calls["tables"][-1]
+
+    def recording_pairs(lv, value, norm, hyp, ref, penalty):
+        sentences = calls["tables"][-1].sentences
+        calls["pairs"].append([(sentences[h], sentences[r]) for h, r in zip(hyp, ref)])
+        return pair_terms(lv, value, norm, hyp, ref, penalty)
+
+    monkeypatch.setattr(metrics, "_table", recording_table)
+    monkeypatch.setattr(metrics, "_pair_terms", recording_pairs)
+    return calls
+
+
+def reference_sets(t):
+    """The table's reference sets, as tuples of token tuples."""
+    return [tuple(t.sentences[s] for s in t.set_refs[a:b])
+            for a, b in zip(t.set_start[:-1], t.set_start[1:])]
+
+
 class TestSentenceTable:
     @pytest.mark.parametrize("name", ["bleu", "cider_d"])
-    def test_counts_each_distinct_sentence_once(self, monkeypatch, name):
+    def test_counts_each_distinct_sentence_once(self, recorded, name):
+        """One table per call; it holds each distinct sentence once and each
+        of its distinct n-grams once, in the order a Counter gives them, and
+        one n-gram has one id in every sentence."""
         c = corpus([("0", POOL[0], POOL[:3]), ("1", POOL[0], POOL[:3]),
                     ("2", POOL[3], [POOL[0], POOL[4]]), ("3", "", POOL[:3]),
                     ("4", POOL[4], [POOL[4], POOL[5]]), ("5", "", [POOL[5]])])
-        counted = []
-        original = metrics._counts
-
-        def counting(tokens, max_n):
-            counted.append(tuple(tokens))
-            return original(tokens, max_n)
-
-        monkeypatch.setattr(metrics, "_counts", counting)
         getattr(metrics, name)(c)
+        [t] = recorded["tables"]
         distinct = {tuple(s) for e in c for s in (e.hypothesis, *e.references)}
-        assert sorted(counted) == sorted(distinct)
+        assert sorted(t.sentences) == sorted(distinct)
+        assert list(t.lengths) == [len(s) for s in t.sentences]
+        sets = reference_sets(t)
+        for e, h, k in zip(c, t.hyp, t.entry_set, strict=True):
+            assert t.sentences[h] == tuple(e.hypothesis)
+            assert sets[k] == tuple(map(tuple, e.references))
+        for n, lv in enumerate(t.levels, 1):
+            names = {}  # gram id -> the n-gram it stands for
+            for s, sentence in enumerate(t.sentences):
+                grams = Counter(sentence[i:i + n] for i in range(len(sentence) - n + 1))
+                rows = range(lv.start[s], lv.start[s + 1])
+                assert len(rows) == len(grams)
+                for row, (g, count) in zip(rows, grams.items()):
+                    assert (lv.sent[row], lv.count[row]) == (s, count)
+                    assert names.setdefault(lv.gram[row], g) == g
+            assert len(set(names.values())) == len(names) == lv.n_ids
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(
@@ -283,21 +322,6 @@ class TestSentenceTable:
             assert rep[key] == pytest.approx(val, abs=1e-9), key
 
 
-@pytest.fixture
-def computed(monkeypatch):
-    """name of each per-call cached function -> the keys it computed."""
-    keys = defaultdict(list)
-
-    def recording(fn):
-        def compute(*args):
-            keys[fn.__name__].append(args)
-            return fn(*args)
-        return functools.cache(compute)
-
-    monkeypatch.setattr(metrics, "cache", recording)
-    return keys
-
-
 # two reference sets, each used three times; the pair (POOL[0], POOL[0])
 # recurs in three entries
 REPEATS = [("0", POOL[0], POOL[:3]), ("1", POOL[0], POOL[:3]), ("2", POOL[1], POOL[:3]),
@@ -309,21 +333,25 @@ class TestPerCallTables:
     """Each repeated reference set and pair is scored once within one call,
     and nothing carries over to the next call."""
 
-    def test_bleu_builds_each_reference_set_once(self, computed):
+    def test_bleu_builds_each_reference_set_once(self, recorded):
         c = corpus(REPEATS)
         metrics.bleu(c)
-        built = computed["max_counts"]
-        assert sorted(built) == sorted({(tuple(map(tuple, e.references)),) for e in c})
+        [t] = recorded["tables"]
+        sets = reference_sets(t)
+        assert sorted(sets) == sorted({tuple(map(tuple, e.references)) for e in c})
+        assert len(sets) < len(c)
 
-    def test_cider_d_scores_each_set_and_pair_once(self, computed):
+    def test_cider_d_scores_each_set_and_pair_once(self, recorded):
         c = corpus(REPEATS)
         metrics.cider_d(c)
-        unions = computed["ref_set_ngrams"]
-        assert sorted(unions) == sorted({(tuple(map(tuple, e.references)),) for e in c})
-        pairs = computed["pair_terms"]
-        assert sorted(pairs) == sorted({(tuple(e.hypothesis), tuple(r))
-                                        for e in c for r in e.references})
-        assert len(pairs) < sum(len(e.references) for e in c)
+        [t] = recorded["tables"]
+        sets = reference_sets(t)
+        assert sorted(sets) == sorted({tuple(map(tuple, e.references)) for e in c})
+        assert len(recorded["pairs"]) == len(t.levels)  # one pass per n
+        for pairs in recorded["pairs"]:
+            assert sorted(pairs) == sorted({(tuple(e.hypothesis), tuple(r))
+                                            for e in c for r in e.references})
+            assert len(pairs) < sum(len(e.references) for e in c)
 
     def test_back_to_back_corpora_share_nothing(self):
         # the second corpus repeats the first one's sentences under other
@@ -337,6 +365,68 @@ class TestPerCallTables:
         oracle = ref_report([(e.hypothesis, e.references) for e in second])
         for key, val in oracle.items():
             assert rep[key] == pytest.approx(val, abs=1e-9), key
+
+
+def entries(raw):
+    """(hypothesis, references) texts -> entries, the words split at spaces."""
+    return [metrics.EvalEntry(str(i), h.split(), [r.split() for r in refs])
+            for i, (h, refs) in enumerate(raw)]
+
+
+@st.composite
+def repeating_corpora(draw):
+    """Corpora whose hypotheses and references come from one small pool of
+    sentences over 5 words, so sentences, reference sets, pairs and n-grams
+    inside one sentence repeat; sentences may be empty or shorter than 4."""
+    sentence = st.lists(st.sampled_from("abcde"), max_size=9).map(" ".join)
+    pool = draw(st.lists(sentence, min_size=1, max_size=8))
+    sets = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=5),
+                         min_size=1, max_size=3))
+    return entries(draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(sets)),
+                                 min_size=2, max_size=10)))
+
+
+def bits(scores):
+    return [float.hex(x) for x in scores]
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="from Python 3.12 the built-in sum() that the dict code "
+                           "uses compensates float sums instead of adding left to right")
+class TestDictMirror:
+    """bleu and cider_d return exactly the floats of the dict code they
+    replaced (``dict_metrics``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(repeating_corpora())
+    @example(entries([("a a a a", ["a a", "a a a b"]), ("a b a b a", ["b a b", "a b"])]))
+    @example(entries([("", ["a"]), ("a", ["a b c d e"])]))
+    @example(entries([("a", ["a", "b"]), ("b", ["b"]), ("c", ["c c"])]))
+    # each of the next three gives other bits when the hypothesis's n-grams
+    # in a pair's numerator, a sentence's squared tf-idf values, or an
+    # entry's per-reference terms are summed in reverse order
+    @example(entries([("a d a b c", ["c d b", "a d c e d c", "a d c e d c", "a d c e d c"]),
+                      ("e c d e c d", ["c d b", "e c d e c d", "a d a b c"])]))
+    @example(entries([("a d b e c", ["d e e d e c", "e a c d c d", "e e e d c b", "e a c d c d"]),
+                      ("e a b c b", ["d e e d e c", "e a c d c d", "e e e d c b", "e a c d c d"]),
+                      ("d e e d e c", ["d e e d e c", "a d b e c", "a d b e c"])]))
+    @example(entries([("d a d", ["c d a e", "c d a e", "d a d"]),
+                      ("c d a e", ["b e b a", "a", "a"])]))
+    def test_equals_dict_code_bitwise(self, c):
+        assert bits(metrics.bleu(c)) == bits(dict_metrics.bleu(c))
+        assert bits([metrics.cider_d(c)]) == bits([dict_metrics.cider_d(c)])
+
+    def test_more_words_than_a_packed_key_holds(self):
+        """70,000 distinct words: four word ids packed into one int64 would
+        wrap, while ids interned order by order stay below the token count."""
+        words = [f"w{i}" for i in range(70_000)]
+        blocks = [words[i:i + 8_750] for i in range(0, len(words), 8_750)]
+        c = entries([(" ".join(b[100:700] + b[2000:2300] + words[:40]),
+                      [" ".join(b), " ".join(b[1:] + words[:1]), " ".join(words[:300])])
+                     for b in blocks])
+        assert len({w for e in c for r in e.references for w in r}) > 2**16
+        assert bits(metrics.bleu(c)) == bits(dict_metrics.bleu(c))
+        assert bits([metrics.cider_d(c)]) == bits([dict_metrics.cider_d(c)])
 
 
 @pytest.mark.parametrize("seed", range(4))
