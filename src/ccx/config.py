@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .bridge import DecoderConfig
@@ -81,13 +82,15 @@ def _coerce(key, raw):
     return str(raw)
 
 
-def _at_least(key, low, strict=False):
+def _at_least(key, low, strict=False, allow_inf=False):
     """A (key, check) entry that rejects a value below ``low`` (or equal to
-    it, when ``strict``), NaN included."""
+    it, when ``strict``), NaN included, and infinity unless ``allow_inf``."""
     def check(cfg):
         value = cfg[key]
         if not (value > low if strict else value >= low):
             raise ValueError(f"must be {'>' if strict else '>='} {low}, got {value}")
+        if not (allow_inf or math.isfinite(value)):
+            raise ValueError(f"must be finite, got {value}")
     return key, check
 
 
@@ -117,8 +120,9 @@ def load_config(path):
                for n in (1, 2, 3)]
     checks += [_at_least(f"stage{n}.{key}", low) for n in (1, 2, 3)
                for key, low in (("epochs", 0), ("batch_size", 1), ("base_lr", 0))]
+    # an infinite clip threshold means no clipping
     checks += [("train.seed", lambda c: Rng(c["train.seed"])),
-               _at_least("train.grad_clip", 0, strict=True),
+               _at_least("train.grad_clip", 0, strict=True, allow_inf=True),
                _at_least("train.weight_decay", 0), _at_least("train.encoder_lr_ratio", 0)]
     for name, check in checks:
         try:

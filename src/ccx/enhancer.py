@@ -11,7 +11,8 @@ stack, the gates and the mix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 from . import nn
 from . import tensor as T
@@ -39,12 +40,30 @@ class EnhancerConfig:
 
 @dataclass
 class EnhancedFeatures:
-    """``fused`` is the output; ``per_tap`` and ``scores`` are per-tap views
-    of the stacked tensors it was mixed from, for inspection only."""
+    """``fused`` = (F1', F2') is the output. It was mixed from ``stacked`` =
+    (F1~, F2~, dF), each [K, ..., N, d], with the gates ``gates`` [K, ..., 1,
+    1], tap k being ``offsets[k]``; a disabled enhancer passes the residual
+    pair through and leaves them unset. ``per_tap`` and ``scores`` cut them
+    into per-tap views on first read."""
 
-    per_tap: dict = field(default_factory=dict)  # offset -> (F1~, F2~, dF) views
-    fused: tuple = None  # (F1', F2')
-    scores: dict = field(default_factory=dict)  # offset -> [..., 1, 1] gate view
+    fused: tuple
+    offsets: tuple = ()
+    stacked: tuple = None
+    gates: T.Tensor = None
+
+    @functools.cached_property
+    def per_tap(self):
+        """offset -> (F1~, F2~, dF) views."""
+        if self.stacked is None:
+            return {}
+        return dict(zip(self.offsets, zip(*(T.unstack(t) for t in self.stacked))))
+
+    @functools.cached_property
+    def scores(self):
+        """offset -> [..., 1, 1] gate view."""
+        if self.gates is None:
+            return {}
+        return dict(zip(self.offsets, T.unstack(self.gates)))
 
 
 def change_feature_init(store, name, f1, f2, d):
@@ -123,13 +142,10 @@ def adaptive_adjustment(store, stacked, residual, cfg: EnhancerConfig):
 
 
 def enhance(store, pyramid, cfg: EnhancerConfig) -> EnhancedFeatures:
-    res1, res2 = pyramid.residual
     if not cfg.enabled:
-        return EnhancedFeatures(per_tap={}, fused=(res1, res2), scores={})
-    offs = sorted(pyramid.taps)
+        return EnhancedFeatures(fused=pyramid.residual)
+    offs = tuple(sorted(pyramid.taps))
     f1, f2 = (T.stack([pyramid.taps[off][i] for off in offs]) for i in (0, 1))
     stacked = diff_expert(store, f1, f2, cfg)
     f1p, f2p, s = adaptive_adjustment(store, stacked, pyramid.residual, cfg)
-    per_stream = [T.unstack(t) for t in stacked]
-    return EnhancedFeatures(per_tap=dict(zip(offs, zip(*per_stream))), fused=(f1p, f2p),
-                            scores=dict(zip(offs, T.unstack(s))))
+    return EnhancedFeatures(fused=(f1p, f2p), offsets=offs, stacked=stacked, gates=s)

@@ -251,11 +251,10 @@ def _unbroadcast(g, shape):
 
     The leading axes that ``shape`` lacks are summed as one BLAS product,
     ones(n) @ g.reshape(n, -1), rather than by numpy's axis loops, which
-    walk narrow rows slowly (19 against 49 µs for a [4, 8, 64, 32]
-    gradient). This serves linear's db and dW, layer norm's gain and bias
-    and the broadcasting ``add``, ``sub`` and ``mul``. It moves low-order
-    bits against ``g.sum(axis)``: within 1e-14 of Σ|g| (2.9e-16 over 300
-    random calls). Axes of length 1 in ``shape`` are summed by numpy.
+    walk narrow rows slowly. This serves linear's db and dW, layer norm's
+    gain and bias and the broadcasting ``add``, ``sub`` and ``mul``. It
+    moves low-order bits against ``g.sum(axis)``: within 1e-14 of Σ|g|.
+    Axes of length 1 in ``shape`` are summed by numpy.
     """
     extra = g.ndim - len(shape)
     if extra > 0:
@@ -323,12 +322,10 @@ def linear(x, w, b):
     The forward adds the bias in place on the product; the backward forms
     dx = g wᵀ, dW = Σ xᵀ g (a product per leading index, then summed over
     the leading axes) and db = Σ g, skipping the inputs that need no
-    gradient. wᵀ is copied to a contiguous [m, n] array first: the product
-    on a transposed view gives the same bits, 1.5-1.8x slower on the
-    enhancer's [2, 8, 64, ·] rows (copy included) and no faster on the
-    decoder's. db and the
-    sum of dW over the leading axes are ``_unbroadcast``'s one BLAS
-    product each, within 1e-14 of Σ|g| of numpy's axis sums.
+    gradient. wᵀ is copied to a contiguous [m, n] array first; the product
+    gives the bits it gives on a transposed view. db and the sum of dW over
+    the leading axes are ``_unbroadcast``'s one BLAS product each, within
+    1e-14 of Σ|g| of numpy's axis sums.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     xs, ws, bs = x.data.shape, w.data.shape, b.data.shape

@@ -187,9 +187,11 @@ def load_params(model: CaptionModel, path):
             raise ValueError(f"{file}: the checkpoint's vocabulary ({len(have)} tokens) "
                              f"differs from the model's ({len(want)}) at id {i}")
     for p in model.store.params.values():
-        arr = read_cct1(path / "params" / f"{p.name}.cct1")
+        file = path / "params" / f"{p.name}.cct1"
+        arr = read_cct1(file)
         if arr.shape != p.tensor.shape:
-            raise ValueError(f"checkpoint shape mismatch for {p.name}")
+            raise ValueError(f"checkpoint shape mismatch: {file} holds shape {arr.shape}, "
+                             f"the model's {p.name} has {p.tensor.shape}")
         p.tensor.data = arr
 
 

@@ -189,6 +189,12 @@ class TestTrain:
         p.write_text("bogus.key = 1\n")
         assert main(["train", "--config", str(p)]) == EXIT_USAGE
 
+    def test_infinite_grad_clip_is_no_clipping(self, tmp_path):
+        from ccx import config as cfgmod
+        p = tmp_path / "c.cfg"
+        p.write_text("train.grad_clip = inf\n")
+        assert cfgmod.load_config(p)["train.grad_clip"] == float("inf")
+
     @pytest.mark.parametrize("line", ["encoder.depth = abc", "train.grad_clip = 1.0.0"])
     def test_bad_number_is_usage_error(self, tmp_path, capsys, line):
         p = tmp_path / "bad.cfg"
@@ -457,6 +463,17 @@ class TestCaption:
         assert captured.err.startswith("error: ") and "shape" in captured.err
         assert captured.err.count("\n") == 1
 
+    def test_shape_mismatch_names_file_and_both_shapes(self, trained, tmp_path, capsys):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(trained["config"].read_text() + "encoder.d_model = 16\n")
+        assert main(["caption", "--checkpoint", str(trained["checkpoint"]),
+                     "--config", str(cfg), "--manifest", str(trained["manifest"]),
+                     "--pair", "pair0000"]) == EXIT_IO
+        file = trained["checkpoint"] / "params" / "encoder.patch.w.cct1"
+        assert capsys.readouterr().err == (
+            f"error: checkpoint shape mismatch: {file} holds shape (48, 8), "
+            "the model's encoder.patch.w has (48, 16)\n")
+
     @pytest.mark.parametrize("command", [["caption", "--pair", "pair0000"], ["eval-metrics"]])
     def test_model_config_mismatch_io_error(self, trained, tmp_path, capsys, command):
         cfg = tmp_path / "heads.cfg"
@@ -595,13 +612,17 @@ class TestModelConfigErrors:
         ("train.grad_clip = 0", "train.grad_clip"),
         ("train.weight_decay = -0.01", "train.weight_decay"),
         ("train.encoder_lr_ratio = -0.2", "train.encoder_lr_ratio"),
+        ("stage1.base_lr = inf", "stage1.base_lr"),
+        ("train.weight_decay = inf", "train.weight_decay"),
+        ("train.encoder_lr_ratio = inf", "train.encoder_lr_ratio"),
     ], ids=["decoder-heads", "encoder-taps", "encoder-tap-past-depth",
             "encoder-tap-repeated", "enhancer-heads", "stage3-mode",
             "encoder-heads-0", "enhancer-heads-0", "decoder-heads-0", "patch-size-0",
             "patch-size-negative", "image-size-0", "encoder-width-0", "decoder-width-0",
             "max-len-0", "decoder-depth-negative", "batch-size-0", "epochs-negative",
             "base-lr-negative", "base-lr-nan", "grad-clip-negative", "grad-clip-0",
-            "weight-decay-negative", "encoder-lr-ratio-negative"])
+            "weight-decay-negative", "encoder-lr-ratio-negative", "base-lr-inf",
+            "weight-decay-inf", "encoder-lr-ratio-inf"])
     def test_usage_error(self, trained, tmp_path, capsys, command, lines, key):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(trained["config"].read_text()

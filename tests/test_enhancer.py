@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -296,7 +298,7 @@ def _per_tap_reference(store, pyr, cfg):
             term = s * per_tap[off][i]
             sums[i] = term if sums[i] is None else sums[i] + term
     fused = tuple(acc + res for acc, res in zip(sums, pyr.residual))
-    return enhancer.EnhancedFeatures(per_tap, fused, scores)
+    return SimpleNamespace(per_tap=per_tap, fused=fused, scores=scores)
 
 
 TAP_SETS = [(-2,), (-5, -2), (-11, -8, -5, -2)]
@@ -364,3 +366,74 @@ class TestStackedTaps:
             counts[len(taps)] = len(created)
         assert counts[2] - counts[1] <= 5
         assert counts[4] - counts[2] <= 2 * 5
+
+
+def _tensors_created(monkeypatch, call):
+    """The number of tensors ``call()`` creates."""
+    created = []
+    init = T.Tensor.__init__
+
+    def counting(tensor, *args, **kwargs):
+        created.append(1)
+        init(tensor, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(T.Tensor, "__init__", counting)
+        call()
+    return len(created)
+
+
+class TestEnhancedFeatures:
+    """``enhance`` returns the stacked outputs and gates it mixed from; the
+    per-tap views are cut from them on first read, never by the mix."""
+
+    def test_one_call_creates_as_many_tensors_for_any_tap_count(self, store, cfg,
+                                                                monkeypatch):
+        counts = set()
+        for taps in TAP_SETS:
+            pyr = _stacked_pyramid(73, taps, grad=True)
+            enhancer.enhance(store, pyr, cfg)  # creates the parameters
+            counts.add(_tensors_created(
+                monkeypatch, lambda: enhancer.enhance(store, pyr, cfg)))
+        assert len(counts) == 1
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["unbatched", "batch3"])
+    @pytest.mark.parametrize("taps", TAP_SETS, ids=["1tap", "2taps", "4taps"])
+    def test_views_read_after_the_mix_equal_per_tap_loop(self, store, cfg, taps, lead):
+        pyr = _stacked_pyramid(74, taps, lead)
+        out = enhancer.enhance(store, pyr, cfg)
+        ref = _per_tap_reference(store, pyr, cfg)
+        assert out.offsets == tuple(sorted(taps))
+        assert out.gates.shape == (len(taps), *lead, 1, 1)
+        assert all(t.shape == (len(taps), *lead, N, D) for t in out.stacked)
+        assert "per_tap" not in vars(out) and "scores" not in vars(out)
+        for k, off in enumerate(out.offsets):
+            for got, whole, want in zip(out.per_tap[off], out.stacked, ref.per_tap[off]):
+                assert got.data.tobytes() == whole.data[k].tobytes() == want.data.tobytes()
+            got, want = out.scores[off], ref.scores[off]
+            assert got.data.tobytes() == out.gates.data[k].tobytes() == want.data.tobytes()
+        assert out.per_tap is out.per_tap and out.scores is out.scores
+
+    def test_fused_and_gradients_do_not_depend_on_reading_the_views(self, cfg):
+        w = Rng(76).normal((3, N, D))
+        runs = []
+        for read in (False, True):
+            store = ParamStore(Rng(77))
+            pyr = _stacked_pyramid(75, TAP_SETS[-1], (3,), grad=True)
+            out = enhancer.enhance(store, pyr, cfg)
+            assert "per_tap" not in vars(out) and "scores" not in vars(out)
+            if read:
+                assert len(out.per_tap) == len(out.scores) == len(TAP_SETS[-1])
+            (T.tsum(out.fused[0] * T.Tensor(w)) + T.tsum(out.fused[1])).backward()
+            runs.append([f.data.tobytes() for f in out.fused]
+                        + [p.tensor.grad.tobytes() for p in store.group_params("enhancer")]
+                        + [f.grad.tobytes() for pair in pyr.taps.values() for f in pair])
+        assert runs[0] == runs[1]
+
+    def test_disabled_holds_the_residual_and_no_views(self, store):
+        cfg = enhancer.EnhancerConfig(d_model=D, heads=2, enabled=False)
+        pyr = _stacked_pyramid(78, (-5, -2))
+        out = enhancer.enhance(store, pyr, cfg)
+        assert out.fused == pyr.residual
+        assert out.offsets == () and out.stacked is None and out.gates is None
+        assert out.per_tap == {} and out.scores == {}
